@@ -2,8 +2,10 @@
 
 K is the masked Dirichlet Laplacian, B the centered d/dx; eigenvalues
 rho with a nontrivial kernel make up the discrete spectrum of the
-homogeneous boundary problem  L_rho q = 0, q = 0 on the boundary.  The
-pencil is linearized by the companion form
+homogeneous boundary problem  L_rho q = 0, q = 0 on the boundary.
+
+spectrum() finds every eigenvalue in a complex box from the companion
+linearization
 
         A (q, rho*q) = rho (q, rho*q),    A = [[0, I], [-K, -2B]],
 
@@ -11,10 +13,19 @@ solved densely for small interiors and by multi-shift shift-invert
 Arnoldi otherwise.  One application of (A - sigma)^(-1) costs a single
 sparse solve with Q(sigma) = K + 2*sigma*B + sigma^2*I.
 
-rho_min searches the positive real axis upward from the rigorous lower
-bound sqrt(lambda_1(-K)) (for a real eigenfunction q the antisymmetry
-of B forces rho^2 = -<q,Kq>/<q,q>), certifying the least real
-eigenvalue whose eigenfunction has a single sign on its component.
+rho_min() finds the critical value rho(D) without the companion.  While
+rho*hx < 1 the off-diagonal entries 1/hx^2 +- rho/hx and 1/hy^2 of
+A(rho) = K + 2*rho*B + rho^2*I are positive, so on one 4-connected
+component A(rho) is an irreducible Metzler matrix.  By Perron-Frobenius
+its rightmost eigenvalue mu(rho) is real and simple, and its eigenvector
+is the only one of a single sign.  rho(D) is therefore the least
+positive root of mu, with mu(0) = -lambda_1(-K) < 0.  Each evaluation of
+mu is one real n x n shift-invert Arnoldi solve at the shift rho^2,
+which lies above mu because every row sum of A(rho) is at most rho^2;
+an evaluation counts only if its eigenvector has a single sign, which
+certifies it as the Perron pair.  A safeguarded secant in rho^2 brackets
+and refines the root; mu is not monotone, and the search stops without
+a value below rho*hx = 1.
 """
 
 from __future__ import annotations
@@ -25,7 +36,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigs, eigsh, splu
+from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigs, splu
 
 from .errors import SolverFailure
 from .operators import assemble
@@ -38,6 +49,14 @@ __all__ = [
 ]
 
 DENSE_CUTOFF = 1200
+
+# rho_min: Perron evaluations stop below rho*hx = RHO_HX_MAX, where the
+# x-couplings 1/hx^2 - rho/hx of A(rho) are still positive
+RHO_HX_MAX = 0.999
+MAX_EVALS = 40
+TOL_X = 1e-12           # relative root tolerance
+GROW_MAX = 4.0          # largest upward step factor in rho^2 before a sign change
+SIGN_TOL = 1e-10        # most negative entry of a peak-normalized Perron vector
 
 
 def erode_periodic(inside: np.ndarray, steps: int = 1) -> np.ndarray:
@@ -112,6 +131,25 @@ class PencilSystem:
         return not (layer.any() and v[layer].min() < -tol_layer)
 
     # -- eigenvalue engines --------------------------------------------
+    def perron(self, rho: float):
+        """Perron pair (mu, q) of the real matrix A(rho), rho*hx < 1.
+
+        Every row sum of A(rho) is at most rho^2, so mu < rho^2 and
+        rho^2 I - A(rho) = -K - 2*rho*B is a nonsingular M-matrix with a
+        positive inverse, whose dominant eigenpair is the Perron pair.
+        q is peak-normalized; it is positive iff the pair is the Perron
+        pair, which the caller checks.
+        """
+        n = self.n
+        try:
+            lu = splu((-self.K - 2.0 * rho * self.B).tocsc())
+            op = LinearOperator((n, n), matvec=lu.solve, dtype=float)
+            theta, v = eigs(op, k=1, which="LM", v0=np.ones(n))
+        except (RuntimeError, ArpackNoConvergence) as exc:
+            raise SolverFailure(f"Perron solve failed at rho={rho:.6g}: {exc}") from exc
+        q = self.normalize(v[:, 0])
+        return rho * rho - 1.0 / float(theta[0].real), q.real
+
     def dense_eigs(self):
         Kd = self.K.toarray()
         Bd = self.B.toarray()
@@ -271,109 +309,107 @@ class RhoMinResult:
     meta: dict
 
 
-def _component_rho_min(mask: DomainMask, bc: str, tol_res: float,
-                       k: int, seed: int, max_rungs: int = 14) -> RhoMinResult:
-    system = PencilSystem(mask, bc=bc, seed=seed)
-    tol_re = _tol_real(mask, tol_res)
-    meta: dict = {"bc": bc, "tol_real": tol_re}
+def _component_rho_min(mask: DomainMask, bc: str,
+                       tol_res: float) -> RhoMinResult:
+    """Least positive root of mu on one component by a safeguarded
+    secant in t = rho^2, in which mu is close to linear: an upward
+    search for a sign change, then secant steps that fall back to
+    bisection when they leave the bracket.  mu need not be monotone, so
+    no step assumes it; every loop is capped by MAX_EVALS."""
+    system = PencilSystem(mask, bc=bc)
+    t_cap = (RHO_HX_MAX / mask.grid.hx) ** 2
+    meta: dict = {"bc": bc, "mode": "perron", "evaluations": 0}
+    pts: list = []                          # (t, mu) in evaluation order
 
-    if system.n <= DENSE_CUTOFF:
-        vals, vecs = system.dense_eigs()
-        meta["mode"] = "dense"
-        best = None
-        for i in range(len(vals)):
-            rho = complex(vals[i])
-            if not (rho.real > tol_re and abs(rho.imag) <= tol_re):
-                continue
-            q = vecs[:, i]
-            if system.residual(rho, q) > tol_res:
-                continue
-            if (best is None or rho.real < best[0].real) and system.sign_definite(q):
-                best = (rho, q)
-        if best is None:
-            return RhoMinResult(None, None, None, meta)
-        rho, q = best
-        return RhoMinResult(float(rho.real),
-                            system.embed_field(q, real=True),
-                            system.residual(rho, q), meta)
+    def evaluate(t):
+        mu, q = system.perron(np.sqrt(t))
+        pts.append((t, mu))
+        meta["evaluations"] = len(pts)
+        meta["sign_margin"] = float(q.min())
+        if q.min() < -SIGN_TOL:
+            raise SolverFailure(f"Perron vector changes sign at rho={np.sqrt(t):.6g} "
+                                f"(rho*hx={np.sqrt(t) * mask.grid.hx:.3g})")
+        return mu, q
 
-    meta["mode"] = "shift-invert"
-    # rigorous lower bound: rho(D)^2 >= lambda_1(-K) up to B boundary terms
     try:
-        lam1 = float(eigsh(-system.K, k=1, sigma=0, which="LM",
-                           return_eigenvectors=False)[0])
-        sigma0 = max(np.sqrt(max(lam1, 0.0)) * 0.9, 1e-3)
-    except Exception:
-        sigma0 = 0.25
-    meta["sigma0"] = sigma0
-
-    candidates: dict = {}
-    sigma = sigma0
-    found = None
-    for _ in range(max_rungs):
-        try:
-            vals, vecs = system.eigs_near(sigma + 0.0j, k=k)
-        except SolverFailure:
-            sigma *= 1.8
-            continue
-        _collect(system, vals, vecs, tol_res, candidates)
-        reals = sorted(
-            (r for r in candidates
-             if r.real > tol_re and abs(r.imag) <= tol_re
-             and system.sign_definite(candidates[r][1])),
-            key=lambda r: r.real)
-        if reals:
-            found = reals[0]
-            # cover the interval [sigma0, found] against smaller candidates
-            gap_mid = 0.5 * (sigma0 + found.real)
-            if abs(gap_mid - sigma) > 0.25 * (found.real - sigma0) and \
-               found.real - sigma0 > 0.05 * found.real:
-                try:
-                    vals, vecs = system.eigs_near(gap_mid + 0.0j, k=k)
-                    _collect(system, vals, vecs, tol_res, candidates)
-                    reals = sorted(
-                        (r for r in candidates
-                         if r.real > tol_re and abs(r.imag) <= tol_re
-                         and system.sign_definite(candidates[r][1])),
-                        key=lambda r: r.real)
-                    found = reals[0]
-                except SolverFailure:
-                    pass
-            break
-        sigma *= 1.8
-    if found is None:
+        mu, q = evaluate(0.0)               # mu(0) = -lambda_1(-K) < 0
+        lo, hi = 0.0, None
+        t = min(-mu, t_cap)                 # rho^2 = lambda_1 if B were skew
+        while True:
+            if len(pts) >= MAX_EVALS:
+                raise SolverFailure(f"no convergence in {MAX_EVALS} evaluations")
+            mu, q = evaluate(t)
+            slope = (mu - pts[-2][1]) / (t - pts[-2][0])
+            if mu < 0.0:
+                lo = t
+            else:
+                hi = t
+            meta["bracket"] = (float(np.sqrt(lo)),
+                               None if hi is None else float(np.sqrt(hi)))
+            if (abs(mu) <= TOL_X * t * abs(slope)
+                    or (hi is not None and hi - lo <= TOL_X * hi)):
+                break
+            step = -mu / slope if slope != 0.0 else np.inf
+            if hi is None:
+                if t >= t_cap:
+                    raise SolverFailure(
+                        f"no Perron root below rho*hx={RHO_HX_MAX} "
+                        f"(mu({np.sqrt(t):.6g}) = {mu:.3g})")
+                t = min(t + step if slope > 0.0 else np.inf, GROW_MAX * t, t_cap)
+            else:
+                t = t + step
+                if not lo < t < hi:
+                    t = 0.5 * (lo + hi)
+    except SolverFailure as exc:
+        meta["note"] = str(exc)
         return RhoMinResult(None, None, None, meta)
-    res, q = candidates[found]
-    return RhoMinResult(float(found.real),
-                        system.embed_field(q, real=True), res, meta)
+    rho = float(np.sqrt(t))
+    res = system.residual(rho, q)
+    if res > tol_res:
+        meta["note"] = f"residual {res:.2e} > {tol_res:.0e} at rho={rho:.6g}"
+        return RhoMinResult(None, None, None, meta)
+    return RhoMinResult(rho, system.embed_field(q, real=True), res, meta)
 
 
 def rho_min(mask: DomainMask, bc: str = "face", tol_res: float = 1e-8,
-            k: int = 12, seed: int = 0, full_result: bool = False):
-    """Least positive real pencil eigenvalue with a sign-definite
-    eigenfunction; None when no component is connected on spirals.
+            seed: int = 0, full_result: bool = False):
+    """Critical value rho(D): the least positive root of the Perron
+    eigenvalue mu(rho) of A(rho) = K + 2*rho*B + rho^2*I, searched below
+    rho*hx = RHO_HX_MAX; None when no component is connected on spirals
+    or no root is found (the reason is in meta['note']).
 
     For multi-component masks the minimum over components is returned
-    (the widest component governs).
+    (the widest component governs).  With full_result the RhoMinResult
+    carries the peak-normalized positive eigenfunction, its relative
+    residual, and meta: mode 'perron', evaluations (Perron eigen-solves
+    over all components), the final bracket (lo, hi) of the returned
+    component (hi is None when the root was reached from below) and the
+    sign margin (least entry of the peak-normalized eigenvector).  The
+    solve is deterministic; seed is accepted for callers that thread one
+    seed through every routine.
     """
     if mask.n_components == 1:
         parts = [mask]
     else:
         parts = components(mask)
-    best: Optional[RhoMinResult] = None
+    results = []
     for part in parts:
         if part.spiral:
             sc = part.spiral_of(0)
         else:
             from .torus import classify_spiral
             sc = classify_spiral(part)[0]
-        if not sc.connected:
-            continue
-        r = _component_rho_min(part, bc, tol_res, k, seed)
-        if r.value is not None and (best is None or r.value < best.value):
-            best = r
-    if best is None:
-        best = RhoMinResult(None, None, None, {"note": "no certified value"})
+        if sc.connected:
+            results.append(_component_rho_min(part, bc, tol_res))
+    valued = [r for r in results if r.value is not None]
+    if valued:
+        best = min(valued, key=lambda r: r.value)
+    elif results:
+        best = results[0]
+    else:
+        best = RhoMinResult(None, None, None, {
+            "mode": "perron", "note": "no component connected on spirals"})
+    best.meta["evaluations"] = sum(r.meta["evaluations"] for r in results)
     h = max(mask.grid.hx, mask.grid.hy)
     if best.value is not None and best.value * h > 1.0:
         best.meta["grid_limited"] = True

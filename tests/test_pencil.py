@@ -6,14 +6,19 @@ eigenfunctions exp(2*pi*i*m*x/P) * sin((rho + 2*pi*m*i/P)(y - alpha));
 this oracle is independent of the matrix pipeline.
 """
 
+import time
+
 import numpy as np
 import pytest
 
 from logtorus.pencil import (
-    check_monotonicity, check_shrinking_limit, check_spectrum_symmetries,
-    matsaev_probe, rho_min, spectrum,
+    DENSE_CUTOFF, check_monotonicity, check_shrinking_limit,
+    check_spectrum_symmetries, matsaev_probe, rho_min, spectrum,
 )
-from logtorus.torus import Band, Strip, TorusSpec, build_domain, translate_mask
+from logtorus.torus import (
+    Band, Disc, Grid, Strip, TorusSpec, Tube, build_domain, mask_from_inside,
+    translate_mask,
+)
 
 LOG2 = float(np.log(2.0))
 SPEC = TorusSpec(LOG2)
@@ -167,3 +172,87 @@ def test_degenerate_tiny_complement_is_flagged():
         vals.append(r.value)
     # enlarging the domain (shrinking the hole) lowers the value
     assert vals[1] < vals[0]
+
+
+def torus_minus_one_cell(n):
+    grid = Grid(SPEC, n, n)
+    inside = np.ones(grid.shape, dtype=bool)
+    inside[0, 0] = False
+    return mask_from_inside(grid, inside)
+
+
+def test_strip_minus_disc_resolved_at_128():
+    # rho*h ~ 0.29: well resolved; the dense companion gives 5.9312 at 40^2
+    mask = build_domain(SPEC, 128, 128, Strip(-0.8, 0.8) - Disc(0.3, 0, 0.3))
+    t0 = time.monotonic()
+    r = rho_min(mask)
+    assert time.monotonic() - t0 < 10.0
+    assert r == pytest.approx(5.94, rel=0.01)
+
+
+SMALL_DOMAINS = {
+    "strip": lambda: build_domain(SPEC, 32, 32, Strip(-0.8, 0.8)),
+    "strip_minus_disc": lambda: build_domain(
+        SPEC, 32, 32, Strip(-0.8, 0.8) - Disc(0.3, 0, 0.3)),
+    "strip_plus_disc": lambda: build_domain(
+        SPEC, 32, 32, Strip(-0.8, 0.8) | Disc(0.3, 0.8, 0.3)),
+    "two_strips": lambda: build_domain(
+        SPEC, 32, 32, Strip(-2.4, -1.4) | Strip(0.4, 1.6)),
+    "torus_minus_one_cell": lambda: torus_minus_one_cell(32),
+}
+
+
+@pytest.mark.parametrize("name", SMALL_DOMAINS)
+def test_rho_min_agrees_with_dense_companion(name):
+    # the dense 2n x 2n companion plus the sign filter of spectrum() is
+    # an independent route to the least certified positive eigenvalue
+    mask = SMALL_DOMAINS[name]()
+    assert mask.n_inside <= DENSE_CUTOFF
+    ref = spectrum(mask, (0.0, 20.0, -1.0, 1.0))
+    assert ref.meta["mode"] == "dense"
+    r = rho_min(mask, full_result=True)
+    assert r.value == pytest.approx(ref.rho_min, rel=1e-9)
+    q = r.eigenfunction.values[mask.inside].real
+    assert q.min() >= -1e-8
+    assert q.max() == pytest.approx(1.0, abs=1e-12)
+    assert r.residual <= 1e-8
+
+
+def test_unresolved_tube_stops_below_grid_limit():
+    mask = build_domain(SPEC, 64, 64, Tube(2, 0, 0.12))
+    assert mask.spiral_of(0).connected
+    t0 = time.monotonic()
+    r = rho_min(mask, full_result=True)
+    assert time.monotonic() - t0 < 5.0
+    assert r.value is None
+    assert "rho*hx" in r.meta["note"]
+    assert not r.meta.get("grid_limited") and not r.meta.get("resolution_limited")
+
+
+PENCIL_DOMAINS = {
+    "strip96_quarter": lambda: build_domain(SPEC, 96, 96, Strip(-np.pi / 4, np.pi / 4)),
+    "strip96_half": lambda: build_domain(SPEC, 96, 96, Strip(-np.pi / 2, np.pi / 2)),
+    "strip16x32": lambda: build_domain(SPEC, 16, 32, Strip(-np.pi / 4, np.pi / 4)),
+    "band96": lambda: build_domain(SPEC, 96, 96, Band(LOG2 / 4, 3 * LOG2 / 4)),
+    "strip64_third": lambda: build_domain(SPEC, 64, 64, Strip(-np.pi / 3, np.pi / 3)),
+    "strip48_half": lambda: build_domain(SPEC, 48, 48, Strip(-np.pi / 2, np.pi / 2)),
+    "torus64_minus_one_cell": lambda: torus_minus_one_cell(64),
+    "strip128_minus_disc": lambda: build_domain(
+        SPEC, 128, 128, Strip(-0.8, 0.8) - Disc(0.3, 0, 0.3)),
+    "tube64": lambda: build_domain(SPEC, 64, 64, Tube(2, 0, 0.12)),
+    **SMALL_DOMAINS,
+}
+
+
+@pytest.mark.parametrize("name", PENCIL_DOMAINS)
+def test_rho_min_reports_its_perron_work(name):
+    r = rho_min(PENCIL_DOMAINS[name](), full_result=True)
+    assert r.meta["mode"] == "perron"
+    assert r.meta["evaluations"] <= 40
+    if r.value is None:
+        assert r.meta["note"]
+        return
+    assert r.meta["evaluations"] >= 2
+    lo, hi = r.meta["bracket"]
+    assert lo <= r.value and (hi is None or r.value <= hi)
+    assert r.meta["sign_margin"] >= 0.0
