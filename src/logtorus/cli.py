@@ -251,7 +251,7 @@ class Runner:
     def cmd_subminorant(self):
         rho = self.rho()
         m = read_field_csv(str(self.need("obstacle")))
-        res = maximal_subminorant(m, rho, seed=self.seed)
+        res = maximal_subminorant(m, rho)
         field_to_csv(os.path.join(self.out, "subminorant.csv"), res.minorant,
                      extra=self.header())
         ex = existence_test(m, rho, seed=self.seed)

@@ -19,11 +19,18 @@ Dirichlet conventions are supported:
 Windows cut from the x-covering plane use the same machinery without
 periodic wrap; their artificial edges are Dirichlet-0, and harmonic
 measure targets are interior crosscut cells clamped to 1.
+
+Clamping is a restriction by slicing: OperatorMatrix.restrict(clamp)
+keeps the rows and columns of the cells that stay free and turns the
+sliced-off columns into clamp couplings, and assemble(..., clamp=...)
+is the unclamped assembly restricted that way.  A caller that clamps
+many different sets (the obstacle solver) assembles once and restricts
+per set.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -198,6 +205,39 @@ class OperatorMatrix:
             np.add.at(rhs, self.clamp_rows, -vals)
         return rhs
 
+    def restrict(self, clamp: np.ndarray) -> "OperatorMatrix":
+        """The operator with the free cells in clamp fixed to data.
+
+        Rows and columns of the cells that stay free are sliced out of
+        this matrix; the sliced-off columns become clamp couplings, read
+        through boundary_rhs(clamp_data=...).  Cells of clamp that are
+        not free are ignored.
+        """
+        cells = np.flatnonzero(self.free)           # dof -> flat cell
+        keep = ~np.asarray(clamp, dtype=bool).ravel()[cells]
+        if not keep.any():
+            raise EmptyInterior("all inside cells are clamped")
+        renum = np.cumsum(keep) - 1                 # old dof -> new dof
+        rows = self.matrix[keep]
+        fc = rows[:, ~keep].tocoo()
+        free = np.zeros(self.free.shape, dtype=bool)
+        free.ravel()[cells[keep]] = True
+        dof_index = -np.ones(free.shape, dtype=np.int64)
+        dof_index[free] = np.arange(int(keep.sum()))
+
+        def kept(r, c, v):
+            on = keep[r]
+            return renum[r[on]], c[on], v[on]
+
+        coup = kept(self.coup_rows, self.coup_cells, self.coup_vals)
+        old = kept(self.clamp_rows, self.clamp_cells, self.clamp_vals)
+        return replace(
+            self, matrix=rows[:, keep], dof_index=dof_index, free=free,
+            coup_rows=coup[0], coup_cells=coup[1], coup_vals=coup[2],
+            clamp_rows=np.concatenate([old[0], fc.row.astype(np.int64)]),
+            clamp_cells=np.concatenate([old[1], cells[~keep][fc.col]]),
+            clamp_vals=np.concatenate([old[2], fc.data]))
+
     def embed(self, u: np.ndarray, fill=0.0) -> np.ndarray:
         """Scatter a dof vector back to the full cell array."""
         out = np.full(self.region.inside.shape, fill,
@@ -206,18 +246,18 @@ class OperatorMatrix:
         return out
 
 
-def _neighbor_tables(region: Region, free: np.ndarray):
-    """Per direction: (row_dofs, neighbor kind arrays).
+def _neighbor_tables(region: Region):
+    """Per direction: (axis, di, dj, neighbor kind arrays).
 
-    For every free cell and each of the four neighbors, classifies the
-    neighbor as free (with its dof), clamped-inside, or Dirichlet-outside
-    (including beyond-edge cells of windows, flat index -1).
+    For every inside cell and each of the four neighbors, classifies the
+    neighbor as inside (with its dof) or Dirichlet-outside (including
+    beyond-edge cells of windows, flat index -1).
     """
-    ny, nx = region.inside.shape
+    inside = region.inside
+    ny, nx = inside.shape
     idx = -np.ones((ny, nx), dtype=np.int64)
-    idx[free] = np.arange(int(free.sum()))
-    J, I = np.nonzero(free)
-    flat = J * nx + I
+    idx[inside] = np.arange(int(inside.sum()))
+    J, I = np.nonzero(inside)
     tables = []
     for dj, di, axis in ((0, 1, "x"), (0, -1, "x"), (1, 0, "y"), (-1, 0, "y")):
         jj, ii = J + dj, I + di
@@ -232,33 +272,27 @@ def _neighbor_tables(region: Region, free: np.ndarray):
             offgrid |= (ii < 0) | (ii >= nx)
         jc = np.clip(jj, 0, ny - 1)
         ic = np.clip(ii, 0, nx - 1)
-        nb_free = ~offgrid & free[jc, ic]
-        nb_inside = ~offgrid & region.inside[jc, ic]
-        nb_dof = np.where(nb_free, idx[jc, ic], -1)
+        nb_inside = ~offgrid & inside[jc, ic]
+        nb_dof = np.where(nb_inside, idx[jc, ic], -1)
         nb_flat = np.where(offgrid, -1, jc * nx + ic)
-        tables.append((axis, di, dj, nb_free, nb_inside, nb_dof, nb_flat))
-    return idx, flat, tables
+        tables.append((axis, di, dj, nb_inside, nb_dof, nb_flat))
+    return idx, tables
 
 
-def _assemble_elementary(region: Region, kind: str, bc: str,
-                         clamp: Optional[np.ndarray]):
-    """COO data for 'laplacian' or 'd_dx' over free cells, plus coupling."""
+def _assemble_elementary(region: Region, kind: str, bc: str):
+    """COO data for 'laplacian' or 'd_dx' over inside cells, plus coupling."""
     inside = region.inside
     if not inside.any():
         raise EmptyInterior("no inside cells")
-    free = inside if clamp is None else (inside & ~clamp)
-    if not free.any():
-        raise EmptyInterior("all inside cells are clamped")
-    n = int(free.sum())
-    idx, flat, tables = _neighbor_tables(region, free)
+    n = int(inside.sum())
+    idx, tables = _neighbor_tables(region)
     rows, cols, vals = [], [], []
     diag = np.zeros(n)
     c_rows, c_cells, c_vals = [], [], []      # Dirichlet-outside coupling
-    k_rows, k_cells, k_vals = [], [], []      # clamped-inside coupling
     hx, hy = region.hx, region.hy
     all_rows = np.arange(n)
 
-    for axis, di, dj, nb_free, nb_inside, nb_dof, nb_flat in tables:
+    for axis, di, dj, nb_inside, nb_dof, nb_flat in tables:
         if kind == "laplacian":
             c = 1.0 / (hx * hx) if axis == "x" else 1.0 / (hy * hy)
             diag -= c
@@ -269,16 +303,9 @@ def _assemble_elementary(region: Region, kind: str, bc: str,
         else:
             raise ConfigError(f"unknown elementary kind {kind!r}")
 
-        m = nb_free
-        rows.append(all_rows[m])
-        cols.append(nb_dof[m])
-        vals.append(np.full(int(m.sum()), c))
-
-        mc = nb_inside & ~nb_free          # clamped interior neighbor
-        if mc.any():
-            k_rows.append(all_rows[mc])
-            k_cells.append(nb_flat[mc])
-            k_vals.append(np.full(int(mc.sum()), c))
+        rows.append(all_rows[nb_inside])
+        cols.append(nb_dof[nb_inside])
+        vals.append(np.full(int(nb_inside.sum()), c))
 
         mo = ~nb_inside                    # outside / beyond-edge neighbor
         if mo.any():
@@ -314,8 +341,7 @@ def _assemble_elementary(region: Region, kind: str, bc: str,
                 if parts else np.zeros(0, dtype=dtype))
 
     coup = (cat(c_rows, np.int64), cat(c_cells, np.int64), cat(c_vals, float))
-    kl = (cat(k_rows, np.int64), cat(k_cells, np.int64), cat(k_vals, float))
-    return A, coup, kl, idx, free
+    return A, coup, idx
 
 
 def assemble(domain, kind: str = "l_rho", rho: complex = 0.0,
@@ -323,29 +349,31 @@ def assemble(domain, kind: str = "l_rho", rho: complex = 0.0,
     """Assemble a discrete operator over a Grid, DomainMask, or LogWindow.
 
     l_rho is composed as laplacian + 2*rho*d_dx + rho^2*I from the
-    elementary matrices, so that identity holds exactly.
+    elementary matrices, so that identity holds exactly.  With clamp,
+    the result is the unclamped operator restricted by
+    OperatorMatrix.restrict(clamp).
     """
     if kind not in _KINDS:
         raise ConfigError(f"kind must be one of {_KINDS}")
     region = region_of(domain)
-    K, coupK, klampK, idx, free = _assemble_elementary(region, "laplacian", bc, clamp)
+    K, coupK, idx = _assemble_elementary(region, "laplacian", bc)
     if kind == "laplacian":
-        A, coup, kl = K, coupK, klampK
+        A, coup = K, coupK
     else:
-        B, coupB, klampB = _assemble_elementary(region, "d_dx", bc, clamp)[:3]
+        B, coupB, _ = _assemble_elementary(region, "d_dx", bc)
         if kind == "d_dx":
-            A, coup, kl = B, coupB, klampB
+            A, coup = B, coupB
         else:
             A = (K + 2.0 * rho * B + rho * rho *
                  sparse.identity(K.shape[0], format="csr")).tocsr()
             coup = (np.concatenate([coupK[0], coupB[0]]),
                     np.concatenate([coupK[1], coupB[1]]),
                     np.concatenate([coupK[2], 2.0 * rho * coupB[2]]))
-            kl = (np.concatenate([klampK[0], klampB[0]]),
-                  np.concatenate([klampK[1], klampB[1]]),
-                  np.concatenate([klampK[2], 2.0 * rho * klampB[2]]))
-    return OperatorMatrix(A, kind, rho, bc, domain, region, idx, free,
-                          coup[0], coup[1], coup[2], kl[0], kl[1], kl[2])
+    none = np.zeros(0, dtype=np.int64)
+    op = OperatorMatrix(A, kind, rho, bc, domain, region, idx, region.inside,
+                        coup[0], coup[1], coup[2], none, none,
+                        np.zeros(0, dtype=A.dtype))
+    return op if clamp is None else op.restrict(clamp)
 
 
 class LinearSystem:

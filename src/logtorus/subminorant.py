@@ -6,16 +6,27 @@ complementarity problem
 
     v <= m,    L_h v >= 0,    L_h v = 0 wherever v < m,
 
-posed on the whole torus.  The solver is a primal active-set (policy)
-iteration: given a contact set, solve L_h v = 0 on its complement with
-v = m on the contact cells, then move cells whose multiplier is
-negative out of contact and cells that violate v <= m into it.  Each
-step is one sparse factorization, and at a fixed point the
-complementarity residual is at solver precision.  Projected
-under-relaxed Gauss-Seidel sweeps are available as a fallback smoother
-for active-set cycling; unbounded iterates are reported as 'diverged'
-rather than masked (they signal an obstacle with no subminorant at this
-rho, cross-checked by the existence test).
+posed on the whole torus.  The solver is a primal-dual active-set
+iteration (Hintermueller-Ito-Kunisch), i.e. Howard's policy iteration
+for the obstacle problem: given a contact set, solve L_h v = 0 on its
+complement with v = m on the contact cells, then move cells whose
+multiplier L_h v is below -lam_tol out of contact and cells with v > m
+into it.  L_h is assembled once per grid; each step restricts it to the
+free cells by slicing and factors that block once.
+
+The iteration is nested.  Before the fine grid it solves on the half
+grid, for the 2x2 cell average of m, recursively while nx and ny are
+even and the half grid keeps at least 32 cells per side, and starts from
+the half grid's contact set repeated 2x2, minus the cells where
+L_h m < -lam_tol.  The coarsest grid starts cold: its first step is the
+all-active one (v = m), the only step without a factorization.  A
+half grid that diverges, cycles or fails leaves the fine grid the cold
+start.  The result's `iterations` counts the steps of every level.  Each
+level is capped at max_iter steps; projected under-relaxed Gauss-Seidel
+sweeps rebuild the set when it cycles, at most 10 times per level.
+Unbounded iterates are reported as 'diverged' rather than masked (they
+signal an obstacle with no subminorant at this rho, cross-checked by the
+existence test).
 
 lambda(D) = 1/rho(D) per component, zero for components that are not
 connected on spirals; outer/inner values come from one-cell dilation
@@ -28,7 +39,6 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy import sparse
 
 from .errors import ConfigError, EmptyInterior, IterationLimit, SolverFailure
 from .operators import LinearSystem, assemble
@@ -66,86 +76,160 @@ def _pgs_halfsweeps(A, diag, v, m, color_masks, omega=0.8, sweeps=4):
     return v
 
 
+# the half grid of a warm start keeps at least this many cells per side
+_MIN_COARSE = 32
+
+
+def _tolerances(grid: Grid, mv: np.ndarray, rho: float, tol: float) -> tuple:
+    """(operator scale, multiplier tolerance, feasibility tolerance)."""
+    scale = 1.0 + np.max(np.abs(mv))
+    opscale = 4.0 / grid.hx ** 2 + 4.0 / grid.hy ** 2 + rho * rho
+    return opscale, tol * opscale * scale, tol * scale
+
+
+def _active_set(grid: Grid, mv: np.ndarray, rho: float, tol: float,
+                max_iter: int, levels: list) -> tuple:
+    """Active-set iteration for the obstacle mv on one grid level.
+
+    Warm-starts from the contact set of the half grid's solve while the
+    half grid keeps _MIN_COARSE cells per side; the coarsest level
+    starts cold from the all-active step.  Appends one record per level
+    to levels, coarsest first, and returns (v, active, stop, L_h) with
+    stop 'converged', 'diverged', 'max_iter', 'cycling' or
+    'solve_failed'; the last three carry a 'reason' in the record.
+    """
+    op_full = assemble(grid, "l_rho", rho=rho)
+    A = op_full.matrix
+    _, lam_tol, feas_tol = _tolerances(grid, mv, rho, tol)
+    bound = 1e6 * (1.0 + np.max(np.abs(mv)))
+    # the all-active step: v = m, drop the cells with negative multiplier
+    cold = (A @ mv.ravel()).reshape(grid.shape) >= -lam_tol
+    nx, ny = grid.nx, grid.ny
+    rec = {"grid": (nx, ny), "start": "cold", "steps": 0,
+           "factorizations": 0, "pgs_rescues": 0}
+    if cold.all():
+        rec.update(steps=1, stop="converged")
+        levels.append(rec)
+        return mv.copy(), cold, "converged", A
+    if nx % 2 == 0 and ny % 2 == 0 and min(nx, ny) // 2 >= _MIN_COARSE:
+        half = Grid(grid.spec, nx // 2, ny // 2)
+        mc = mv.reshape(ny // 2, 2, nx // 2, 2).mean(axis=(1, 3))
+        _, coarse, cstop, _ = _active_set(half, mc, rho, tol, max_iter, levels)
+        if cstop == "converged":
+            active = np.repeat(np.repeat(coarse, 2, axis=0), 2, axis=1) & cold
+            rec["start"] = "warm"
+        else:
+            active = cold
+            rec["start"] = f"cold_after_{cstop}"
+    else:
+        rec["steps"] = 1
+        active = cold
+
+    seen = {active.tobytes()}
+    v = mv.copy()
+    while rec["steps"] < max_iter:
+        rec["steps"] += 1
+        if active.all():
+            v = mv.copy()
+        else:
+            try:
+                op = op_full.restrict(active)
+                rec["factorizations"] += 1
+                u = LinearSystem(op).solve(op.boundary_rhs(None, clamp_data=mv),
+                                           rel_tol=1e-8)
+            except (SolverFailure, EmptyInterior) as exc:
+                stop = "solve_failed"
+                rec["reason"] = (f"active-set solve failed at iteration "
+                                 f"{rec['steps']}: {exc}")
+                break
+            v = op.embed(u)
+            v[active] = mv[active]
+        if np.max(np.abs(v)) > bound:
+            stop = "diverged"
+            break
+        lam = (A @ v.ravel()).reshape(grid.shape)
+        drop = active & (lam < -lam_tol)
+        add = ~active & (v > mv)
+        if not drop.any() and not add.any():
+            stop = "converged"
+            break
+        new_active = (active & ~drop) | add
+        key = new_active.tobytes()
+        if key in seen:
+            # active-set cycle: smooth with PGS and rebuild the set
+            rec["pgs_rescues"] += 1
+            if rec["pgs_rescues"] > 10:
+                stop = "cycling"
+                rec["reason"] = "active-set iteration cycles persistently"
+                break
+            J, I = np.indices(grid.shape)
+            colors = [((J + I) % 2 == c).ravel() for c in (0, 1)]
+            vv = _pgs_halfsweeps(A, A.diagonal(), v.ravel().copy(), mv.ravel(),
+                                 colors, omega=0.8, sweeps=10)
+            v = vv.reshape(grid.shape)
+            new_active = np.abs(v - mv) <= feas_tol
+        seen.add(key)
+        active = new_active
+    else:
+        stop = "max_iter"
+        rec["reason"] = f"no convergence in {max_iter} active-set steps"
+    rec["stop"] = stop
+    levels.append(rec)
+    return v, active, stop, A
+
+
 def maximal_subminorant(m: GridField, rho: float, tol: float = 1e-9,
-                        max_iter: int = 120, seed: int = 0) -> SubminorantResult:
+                        max_iter: int = 120) -> SubminorantResult:
     """Maximal subminorant of the obstacle m on the whole torus.
 
     Returns status 'identically_zero' when the zero field is maximal,
     'diverged' when iterates blow up (no subminorant exists for this
     rho on some component of the positivity set).
+
+    The iteration is nested (see the module docstring): the half grids
+    of m are solved first, coarsest first, and each hands its contact
+    set to the next finer grid as the starting set.  `iterations` counts
+    the steps of all levels.  Only the coarsest level's all-active step
+    needs no factorization, so a call without PGS rescues factors
+    `iterations - 1` times; when L_h m >= -lam_tol everywhere, m is
+    returned after 1 step, without a half grid or a factorization.  A
+    free cell joins the contact set at any excess v > m, so a converged
+    minorant never exceeds m, from a cold or a warm start.  Each level is capped at max_iter
+    steps and 10 PGS rescues; past either cap on the finest grid, or
+    when a solve there fails, IterationLimit is raised (a half grid that
+    fails only costs the fine grid its warm start).
+
+    meta: 'stop' ('converged' or 'diverged'); 'levels', one record per
+    grid, coarsest first, with 'grid' (nx, ny), 'start' ('cold', 'warm'
+    or 'cold_after_<stop of the half grid>'), 'steps', 'factorizations',
+    'pgs_rescues' and 'stop'; 'pgs_rescues' over all levels; 'lam_tol'.
     """
     if rho <= 0:
         raise ConfigError("maximal_subminorant needs rho > 0")
     grid = m.grid
-    A_full = assemble(grid, "l_rho", rho=rho).matrix.tocsr()
-    diag = A_full.diagonal()
     mv = np.asarray(m.values, dtype=float)
-    n = grid.ncells
-    bound = 1e6 * (1.0 + np.max(np.abs(mv)))
-    opscale = 4.0 / grid.hx ** 2 + 4.0 / grid.hy ** 2 + rho * rho
-    lam_tol = tol * opscale * (1.0 + np.max(np.abs(mv)))
-    feas_tol = tol * (1.0 + np.max(np.abs(mv)))
+    levels: list = []
+    v, _, stop, A = _active_set(grid, mv, rho, tol, max_iter, levels)
+    if stop not in ("converged", "diverged"):
+        raise IterationLimit(levels[-1]["reason"])
+    it = sum(rec["steps"] for rec in levels)
 
-    J, I = np.meshgrid(np.arange(grid.ny), np.arange(grid.nx), indexing="ij")
-    colors = [((J + I) % 2 == c).ravel() for c in (0, 1)]
-
-    active = np.ones(grid.shape, dtype=bool)
-    seen = {}
-    v = mv.copy()
-    status = None
-    pgs_used = 0
-    for it in range(1, max_iter + 1):
-        if active.all():
-            v = mv.copy()
-        else:
-            try:
-                op = assemble(grid, "l_rho", rho=rho, clamp=active)
-                rhs = op.boundary_rhs(None, clamp_data=np.where(active, mv, 0.0))
-                u = LinearSystem(op).solve(rhs, rel_tol=1e-8)
-                v = op.embed(u)
-                v[active] = mv[active]
-            except (SolverFailure, EmptyInterior) as exc:
-                raise IterationLimit(
-                    f"active-set solve failed at iteration {it}: {exc}") from exc
-        if np.max(np.abs(v)) > bound:
-            status = "diverged"
-            break
-        lam = (A_full @ v.ravel()).reshape(grid.shape)
-        drop = active & (lam < -lam_tol)
-        add = ~active & (v > mv + feas_tol)
-        new_active = (active & ~drop) | add
-        if not drop.any() and not add.any():
-            status = "converged"
-            break
-        key = new_active.tobytes()
-        if key in seen:
-            # active-set cycle: smooth with PGS and rebuild the set
-            pgs_used += 1
-            vv = v.ravel().copy()
-            vv = _pgs_halfsweeps(A_full, diag, vv, mv.ravel(), colors,
-                                 omega=0.8, sweeps=10)
-            v = vv.reshape(grid.shape)
-            lam = (A_full @ v.ravel()).reshape(grid.shape)
-            new_active = np.abs(v - mv) <= feas_tol
-            if pgs_used > 10:
-                raise IterationLimit("active-set iteration cycles persistently")
-        seen[key] = it
-        active = new_active
-    else:
-        raise IterationLimit(f"no convergence in {max_iter} active-set steps")
-
-    lam = (A_full @ v.ravel()).reshape(grid.shape)
+    opscale, lam_tol, feas_tol = _tolerances(grid, mv, rho, tol)
+    lam = (A @ v.ravel()).reshape(grid.shape)
     contact = np.abs(v - mv) <= feas_tol
     comp = np.minimum(mv - v, lam / opscale)
     residual = float(max(np.max(np.maximum(v - mv, 0.0)),
                          np.max(np.maximum(-comp, 0.0))))
-    if status != "diverged":
+    if stop == "diverged":
+        status = "diverged"
+    else:
         scale = 1.0 + np.max(np.abs(mv))
         status = "identically_zero" if np.max(np.abs(v)) <= 10 * feas_tol * scale \
             else "nonzero"
     out = GridField(grid, v, {"kind": "maximal_subminorant", "rho": rho})
-    return SubminorantResult(m, rho, out, contact, residual, status, it,
-                             {"pgs_rescues": pgs_used, "lam_tol": lam_tol})
+    meta = {"pgs_rescues": sum(rec["pgs_rescues"] for rec in levels),
+            "lam_tol": lam_tol, "levels": levels, "stop": stop}
+    return SubminorantResult(m, rho, out, contact, residual, status, it, meta)
 
 
 # ----------------------------------------------------------------------

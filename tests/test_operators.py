@@ -179,3 +179,32 @@ def test_lift_window_of_strip_and_crosscut_measure():
     # measure grows towards the target edge
     j1, i1 = win.cell_of(2 * LOG2 - 0.05, 0.0)
     assert fld.values[j1, i1] > v
+
+
+def _clamp_cases():
+    grid = Grid(SPEC, 24, 32)
+    mask = build_domain(SPEC, 24, 32, Disc(0.35, 0.2, 1.0), classify=False)
+    win = lift_window(build_domain(SPEC, 24, 24, Strip(-1.0, 1.2)), 0, 0, 3)
+    return [(grid, "l_rho", "face"), (mask, "l_rho", "face"),
+            (mask, "l_rho", "outside"), (win, "laplacian", "face"),
+            (win, "laplacian", "neumann"), (win, "l_rho", "face")]
+
+
+@pytest.mark.parametrize("case", range(6))
+def test_clamped_rows_reproduce_unclamped_rows(case):
+    domain, kind, bc = _clamp_cases()[case]
+    rng = np.random.default_rng(case)
+    full = assemble(domain, kind, rho=0.9, bc=bc)
+    shape = full.free.shape
+    clamp = rng.random(shape) < 0.3
+    op = assemble(domain, kind, rho=0.9, bc=bc, clamp=clamp)
+    # free and dof_index: the unclamped free cells minus the clamp
+    assert np.array_equal(op.free, full.free & ~clamp)
+    assert np.array_equal(op.dof_index[op.free], np.arange(op.ndof))
+    assert np.all(op.dof_index[~op.free] == -1)
+    u = rng.standard_normal(shape)
+    data = rng.standard_normal(shape)
+    want = full.matrix @ u[full.free] - full.boundary_rhs(data)
+    got = op.matrix @ u[op.free] - op.boundary_rhs(data, clamp_data=u)
+    want = want[full.dof_index[op.free]]
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))

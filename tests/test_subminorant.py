@@ -2,8 +2,12 @@
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import spsolve
 
+from logtorus import operators, subminorant
+from logtorus.errors import IterationLimit
 from logtorus.fundsol import GridMeasure, discrete_kernel, potential
+from logtorus.operators import assemble
 from logtorus.subfunc import green_lrho, is_subfunction
 from logtorus.subminorant import (
     existence_test, integral_condition, lambda_value, maximal_subminorant,
@@ -216,3 +220,138 @@ def test_green_like_field_is_undetermined_or_minimal_with_evidence():
     assert rep.verdict in ("minimal", "undetermined")
     if rep.verdict == "minimal":
         assert rep.details["witness"]["rho"] < rho
+
+
+# ---------------------------------------------------------------- reference
+
+def cold_reference(m, rho, tol=1e-9, max_iter=200):
+    """Cold active-set iteration from all-active, one spsolve per step,
+    with the solver's tolerances: (minorant, status, contact)."""
+    grid = m.grid
+    A = assemble(grid, "l_rho", rho=rho).matrix.tocsr()
+    mv = np.asarray(m.values, dtype=float).ravel()
+    scale = 1.0 + np.max(np.abs(mv))
+    opscale = 4.0 / grid.hx ** 2 + 4.0 / grid.hy ** 2 + rho * rho
+    lam_tol, feas_tol = tol * opscale * scale, tol * scale
+    active = np.ones(mv.size, dtype=bool)
+    for _ in range(max_iter):
+        v = mv.copy()
+        free = ~active
+        if free.any():
+            rows = A[free]
+            v[free] = spsolve(rows[:, free].tocsc(), -(rows[:, active] @ mv[active]))
+        if np.max(np.abs(v)) > 1e6 * scale:
+            status = "diverged"
+            break
+        lam = A @ v
+        drop = active & (lam < -lam_tol)
+        add = free & (v > mv)
+        if not drop.any() and not add.any():
+            status = ("identically_zero" if np.max(np.abs(v)) <= 10 * feas_tol * scale
+                      else "nonzero")
+            break
+        active = (active & ~drop) | add
+    else:
+        raise AssertionError("reference active-set iteration did not converge")
+    contact = np.abs(v - mv) <= feas_tol
+    return v.reshape(grid.shape), status, contact.reshape(grid.shape)
+
+
+def band_bump(grid):
+    X, _ = grid.meshgrid()
+    return GridField(grid, np.where((X > LOG2 / 4) & (X < 3 * LOG2 / 4),
+                                    np.sin(np.pi * (X - LOG2 / 4) / (LOG2 / 2)) ** 2,
+                                    0.0))
+
+
+def random_obstacle(grid, seed):
+    """Positive part of a few random low Fourier modes plus an offset:
+    Lipschitz, with flat zero regions where contact is degenerate."""
+    rng = np.random.default_rng(seed)
+    X, Y = grid.meshgrid()
+    f = np.full(grid.shape, rng.uniform(0.0, 0.6))
+    for _ in range(4):
+        kx, ky = rng.integers(0, 3), rng.integers(1, 3)
+        f += rng.normal() * np.cos(2 * np.pi * kx * X / LOG2 + ky * Y
+                                   + rng.uniform(0, 2 * np.pi))
+    return GridField(grid, np.maximum(f, 0.0))
+
+
+REFERENCE_CASES = ([("strip", 3.0), ("band", 2.0), ("constant", 1.3)]
+                   + [(f"random{s}", 3.0 + 0.4 * s) for s in range(6)])
+
+
+@pytest.mark.parametrize("n", [96, 128])
+@pytest.mark.parametrize("case,rho", REFERENCE_CASES)
+def test_matches_independent_cold_reference(case, rho, n):
+    grid = Grid(SPEC, n, n)
+    if case == "strip":
+        m = strip_bump(grid)
+    elif case == "band":
+        m = band_bump(grid)
+    elif case == "constant":
+        m = GridField(grid, np.full(grid.shape, 2.5))
+    else:
+        m = random_obstacle(grid, int(case[len("random"):]))
+    v, status, contact = cold_reference(m, rho)
+    res = maximal_subminorant(m, rho)
+    assert res.status == status
+    assert np.max(np.abs(res.minorant.values - v)) <= 1e-10
+    assert np.array_equal(res.contact, contact)
+
+
+# ---------------------------------------------------------------- work record
+
+@pytest.mark.parametrize("n", [96, 192])
+def test_factorizations_are_iterations_minus_one(n, monkeypatch):
+    factors, entries = [], []
+    init = operators.LinearSystem.__init__
+
+    def counted_init(self, op):
+        factors.append(op.ndof)
+        init(self, op)
+
+    entry = subminorant.maximal_subminorant
+
+    def counted_entry(*args, **kwargs):
+        entries.append(1)
+        return entry(*args, **kwargs)
+
+    monkeypatch.setattr(operators.LinearSystem, "__init__", counted_init)
+    monkeypatch.setattr(subminorant, "maximal_subminorant", counted_entry)
+    res = subminorant.maximal_subminorant(strip_bump(Grid(SPEC, n, n)), rho=3.0)
+    assert res.status == "nonzero" and res.meta["pgs_rescues"] == 0
+    assert len(factors) == res.iterations - 1
+    assert len(entries) == 1
+
+
+def test_levels_and_stop_are_recorded():
+    max_iter = 120
+    res = maximal_subminorant(strip_bump(Grid(SPEC, 128, 128)), rho=3.0,
+                              max_iter=max_iter)
+    levels = res.meta["levels"]
+    assert res.meta["stop"] == "converged"
+    # 128 -> 64 -> 32: the half of 32 would have fewer than 32 cells
+    assert [lv["grid"] for lv in levels] == [(32, 32), (64, 64), (128, 128)]
+    assert [lv["start"] for lv in levels] == ["cold", "warm", "warm"]
+    assert all(lv["stop"] == "converged" for lv in levels)
+    assert all(1 <= lv["steps"] <= max_iter for lv in levels)
+    assert sum(lv["steps"] for lv in levels) == res.iterations
+    assert sum(lv["factorizations"] for lv in levels) == res.iterations - 1
+    # the warm start leaves a mesh-independent number of fine steps
+    assert levels[-1]["steps"] <= 15
+
+    # L_h m >= 0 everywhere: m itself after one step, no recursion
+    res = maximal_subminorant(GridField(GRID, np.full(GRID.shape, 2.5)), rho=1.3)
+    assert res.iterations == 1 and res.meta["stop"] == "converged"
+    assert res.meta["levels"] == [{"grid": (64, 64), "start": "cold", "steps": 1,
+                                   "factorizations": 0, "pgs_rescues": 0,
+                                   "stop": "converged"}]
+
+
+def test_sign_changing_obstacle_raises_iteration_limit():
+    X, Y = GRID.meshgrid()
+    m = GridField(GRID, np.where(np.abs(Y) < np.pi / 4,
+                                 np.cos(2 * Y) ** 2, 0.0) - 0.1)
+    with pytest.raises(IterationLimit):
+        maximal_subminorant(m, rho=3.0)
