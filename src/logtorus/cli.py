@@ -150,8 +150,7 @@ class Runner:
         mask = self.mask()
         component = int(self.cfg.get("component", 0))
         n_martin = int(self.cfg.get("n_martin", 6))
-        ests = rho_estimates(mask, component, z0=self.z0(), n_martin=n_martin,
-                             seed=self.seed)
+        ests = rho_estimates(mask, component, z0=self.z0(), n_martin=n_martin)
         tab = consistency_table(ests)
         lines = ["method value ci n_range"]
         for e in ests:
@@ -254,7 +253,7 @@ class Runner:
         res = maximal_subminorant(m, rho)
         field_to_csv(os.path.join(self.out, "subminorant.csv"), res.minorant,
                      extra=self.header())
-        ex = existence_test(m, rho, seed=self.seed)
+        ex = existence_test(m, rho)
         ic = integral_condition(m)
         lines = [f"status {res.status}",
                  f"complementarity_residual {format_float(res.complementarity_residual)}",
@@ -270,7 +269,7 @@ class Runner:
 
     def cmd_lambda(self):
         mask = self.mask()
-        lam = lambda_value(mask, seed=self.seed)
+        lam = lambda_value(mask)
         lines = ["component rho lambda spiral"]
         for p in lam.per_component:
             lines.append(f"{p['component']} {p['rho']} "
@@ -282,7 +281,7 @@ class Runner:
     def cmd_minimality(self):
         rho = self.rho()
         v = read_field_csv(str(self.need("field")))
-        rep = minimality_test(v, rho, seed=self.seed)
+        rep = minimality_test(v, rho)
         lines = [f"verdict {rep.verdict}", f"certified {rep.certified}"]
         for k, w in rep.details.items():
             lines.append(f"{k} {w}")

@@ -15,11 +15,14 @@ sum of genus-p Weierstrass log-factors
     H(u, p) = log|1-u| + Re(sum_{m<=p} u^m/m),     p = floor(rho).
 
 The Fourier route performs the k-sum per mode l in closed form (it is a
-periodized exponential) and truncates the l-sum by its exponential tail;
-the Weierstrass route truncates the shift sum by its genus tails.  The
-two evaluations share no code beyond the flagged singular-offset
-placeholder, so their agreement off the singularity cross-checks the
-symbol, the genus structure, and the normalization at once.
+periodized exponential) for all columns at once and truncates the l-sum
+by its exponential tail; on the lattice the l-sum folds by l mod ny into
+one FFT over y.  The generalized kernel below is the same synthesis with
+the resonant mode gauged.  The Weierstrass route truncates the shift sum
+by its genus tails.  The two evaluations share no code beyond the
+flagged singular-offset placeholder, so their agreement off the
+singularity cross-checks the symbol, the genus structure, and the
+normalization at once.
 
 Kernels are sampled at lattice offsets (i*hx, j*hy); the singular offset
 (0,0) carries a finite placeholder (regular part of the shift sum minus
@@ -102,21 +105,22 @@ def fourier_coefficient(rho: float, P: float, k, l):
 # ----------------------------------------------------------------------
 
 def _periodized_exp(c, xt, P):
-    """sum_k e^{i*kap_k*x}/(c + i*kap_k) = P e^{-c*xt}/(1 - e^{-cP}),
-    xt in (0, P), in overflow-safe form for either sign of c != 0."""
-    c, xt = np.broadcast_arrays(np.asarray(c, float), np.asarray(xt, float))
-    out = np.empty(c.shape)
-    pos = c > 0
-    out[pos] = P * np.exp(-c[pos] * xt[pos]) / (1.0 - np.exp(-c[pos] * P))
-    b = -c[~pos]
-    out[~pos] = -P * np.exp(-b * (P - xt[~pos])) / (1.0 - np.exp(-b * P))
+    """sum_k e^{i*kap_k*x}/(c + i*kap_k) = P e^{-c*xt}/(1 - e^{-cP}) for
+    rows c and columns xt in [0, P) (the one-sided limit at 0); rows with
+    c < 0 take the overflow-safe form -P e^{c(P-xt)}/(1 - e^{cP}).
+    c == 0 rows return 0 (callers replace them by a gauge value)."""
+    out = np.where(c[:, None] > 0, xt, P - xt)
+    out *= -np.abs(c)[:, None]
+    np.exp(out, out=out)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scale = np.sign(c) * P / (1.0 - np.exp(-np.abs(c) * P))
+    out *= np.where(c == 0.0, 0.0, scale)[:, None]
     return out
 
 
 def _periodized_exp_mid(c, P):
     """Midpoint value of the same series at xt = 0: (P/2) coth(c P/2).
     c == 0 entries return 0 (callers replace them by a gauge value)."""
-    c = np.asarray(c, float)
     e = np.exp(-np.abs(c) * P)
     with np.errstate(divide="ignore", invalid="ignore"):
         out = np.sign(c) * (P / 2.0) * (1.0 + e) / (1.0 - e)
@@ -124,43 +128,66 @@ def _periodized_exp_mid(c, P):
 
 
 def _r0_col(rho, xt, P):
-    """sum_k e^{i*kap*x}/(rho + i*kap)^2; continuous across xt = 0."""
-    if rho > 0:
-        e = np.exp(-rho * P)
-        return P * np.exp(-rho * xt) * (xt * (1.0 - e) + P * e) / (1.0 - e) ** 2
-    # rho < 0: reuse with xt -> P - xt, rho -> -rho (series conjugation)
-    e = np.exp(rho * P)
-    xr = P - xt
-    return P * np.exp(rho * xr) * (xr * (1.0 - e) + P * e) / (1.0 - e) ** 2
+    """sum_k e^{i*kap*x}/(rho + i*kap)^2 for rho > 0; continuous at xt = 0."""
+    e = np.exp(-rho * P)
+    return P * np.exp(-rho * xt) * (xt * (1.0 - e) + P * e) / (1.0 - e) ** 2
 
 
-def _mode_sums(rho, xt: float, P, ls):
-    """R_l(xt) = sum_k a_kl e^{i*kap*x} for positive modes l (vector)."""
-    t1 = _periodized_exp(rho - ls, xt, P)
-    t2 = _periodized_exp(rho + ls, xt, P)
-    return (t1 - t2) / (2.0 * ls)
+def _bernoulli2(t):
+    return t * t - t + 1.0 / 6.0
 
 
-def _singular_column(rho, ys, P, p):
-    """Column x = 0 (mod P): midpoint k-sums; the slow -P/(2l) tail of
-    R_l(0) is resummed through sum cos(l y)/l = -log(2|sin(y/2)|)."""
-    lmax = int(np.ceil(45.0 / P)) + abs(p) + 16
+def _synthesis(rho, grid, tol, gauged=False):
+    """Kernel samples (1/(2 pi P)) [R_0(x) + sum_{l>=1} 2 cos(l y) R_l(x)]
+    at every lattice offset, for rho > 0, with the k-sums
+    R_l(x) = sum_k a_kl e^{i*kap*x} in closed form.
+
+    One l-range, rounded up to a multiple of ny, serves every column: the
+    column nearest x = 0 needs the most modes to bring the exponential
+    tail below tol, and the singular column x = 0 needs at least
+    ceil(45/P) + p + 16.  That column holds the midpoint k-sums plus
+    P/(2l); the slow -P/(2l) tail of R_l(0) is resummed through
+    sum cos(l y)/l = -log(2|sin(y/2)|).  gauged (integer rho = p) drops
+    the k = 0 term of the resonant mode l = p, and for p = 0 of R_0,
+    which becomes a Bernoulli polynomial.
+    """
+    P = grid.spec.P
+    p = int(np.floor(rho))
+    xs = np.arange(grid.nx) * grid.hx
+    ys = np.arange(grid.ny) * grid.hy
+    lmax = max(int(np.ceil(45.0 / P)) + p + 16,
+               int(np.ceil((-np.log(tol) + 6.0) / grid.hx)) + p + 8)
+    lmax = -(-lmax // grid.ny) * grid.ny
     ls = np.arange(1.0, lmax + 1.0)
-    r_mid = (_periodized_exp_mid(rho - ls, P)
-             - _periodized_exp_mid(rho + ls, P)) / (2.0 * ls)
-    fast = r_mid + P / (2.0 * ls)
-    total = (2.0 * np.cos(np.outer(ys, ls))) @ fast
+    R = _periodized_exp(rho - ls, xs, P)
+    R -= _periodized_exp(rho + ls, xs, P)
+    R[:, 0] = _periodized_exp_mid(rho - ls, P) - _periodized_exp_mid(rho + ls, P)
+    if gauged and p >= 1:
+        # k != 0 part of the resonant k-sum: sawtooth (0 at its midpoint)
+        R[p - 1] += np.where(xs > 0, P / 2.0 - xs, 0.0) + 1.0 / (2.0 * p)
+    R /= 2.0 * ls[:, None]
+    R[:, 0] += P / (2.0 * ls)
+    if gauged and p == 0:
+        r0 = -(P * P / 2.0) * _bernoulli2(xs / P)
+    else:
+        r0 = _r0_col(rho, xs, P)
+    # on the lattice cos(l*y) depends on l mod ny only: sum R_l by residue
+    # (row i holds l = i + 1, hence the roll), then one FFT over y gives
+    # sum_l 2 cos(l y) R_l(x)
+    folded = np.roll(R.reshape(-1, grid.ny, grid.nx).sum(axis=0), 1, axis=0)
+    vals = 2.0 * np.fft.fft(folded, axis=0).real + r0
     with np.errstate(divide="ignore"):
-        total += P * np.log(2.0 * np.abs(np.sin(ys / 2.0)))
-    total += _r0_col(rho, 0.0, P)
-    return total / (TWO_PI * P)
+        vals[:, 0] += P * np.log(2.0 * np.abs(np.sin(ys / 2.0)))
+    vals /= TWO_PI * P
+    vals[0, 0] = _placeholder(rho, P, p, float(np.sqrt(grid.hx * grid.hy)))
+    return vals
 
 
-def _flip_offsets(vals):
-    """E_{-rho}(x, y) = E_rho(-x, -y) on the offset lattice."""
-    out = np.empty_like(vals)
-    out[:, :] = vals[::-1, ::-1]
-    return np.roll(out, (1, 1), axis=(0, 1))
+def _reflect(inner: GridField, rho: float) -> GridField:
+    """E_{-rho}(x, y) = E_rho(-x, -y) on the offset lattice; the
+    placeholder cell (0, 0) maps to itself."""
+    vals = np.roll(inner.values[::-1, ::-1], (1, 1), axis=(0, 1))
+    return GridField(inner.grid, vals, dict(inner.meta, rho=rho))
 
 
 def fundsol_fourier(rho: float, grid: Grid, tol: float = 1e-9) -> GridField:
@@ -171,33 +198,11 @@ def fundsol_fourier(rho: float, grid: Grid, tol: float = 1e-9) -> GridField:
     """
     _check_not_near_integer(rho)
     if rho < 0:
-        inner = fundsol_fourier(-rho, grid, tol)
-        vals = _flip_offsets(inner.values)
-        vals[0, 0] = inner.values[0, 0]
-        meta = dict(inner.meta, rho=rho)
-        return GridField(grid, vals, meta)
-    P = grid.spec.P
-    p = int(np.floor(rho))
-    xs = np.arange(grid.nx) * grid.hx
-    ys = np.arange(grid.ny) * grid.hy
-    vals = np.zeros(grid.shape)
-    logt = -np.log(tol) + 6.0
-    for i in range(grid.nx):
-        xt = xs[i]
-        if i == 0:
-            vals[:, 0] = _singular_column(rho, ys, P, p)
-            continue
-        rate = min(xt, P - xt)
-        lmax = int(np.ceil(logt / rate)) + p + 8
-        ls = np.arange(1.0, lmax + 1.0)
-        r = _mode_sums(rho, xt, P, ls)
-        col = _r0_col(rho, xt, P) + (2.0 * np.cos(np.outer(ys, ls))) @ r
-        vals[:, i] = col / (TWO_PI * P)
-    vals[0, 0] = _placeholder(rho, P, p, float(np.sqrt(grid.hx * grid.hy)))
+        return _reflect(fundsol_fourier(-rho, grid, tol), rho)
     meta = {"kind": "fundsol_fourier", "rho": rho, "tol": tol,
             "singular_cell": (0, 0), "normalization": "unit_dirac",
             "sampling": "lattice_offsets"}
-    return GridField(grid, vals, meta)
+    return GridField(grid, _synthesis(rho, grid, tol), meta)
 
 
 # ----------------------------------------------------------------------
@@ -266,10 +271,7 @@ def fundsol_weierstrass(rho: float, grid: Grid, tol: float = 1e-9,
     """
     _check_not_near_integer(rho)
     if rho < 0:
-        inner = fundsol_weierstrass(-rho, grid, tol, kmax)
-        vals = _flip_offsets(inner.values)
-        vals[0, 0] = inner.values[0, 0]
-        return GridField(grid, vals, dict(inner.meta, rho=rho))
+        return _reflect(fundsol_weierstrass(-rho, grid, tol, kmax), rho)
     P = grid.spec.P
     p = int(np.floor(rho))
     xs = np.arange(grid.nx) * grid.hx
@@ -299,69 +301,15 @@ def fundsol_weierstrass(rho: float, grid: Grid, tol: float = 1e-9,
 # integer rho: gauge-fixed generalized kernel
 # ----------------------------------------------------------------------
 
-def _bernoulli2(t):
-    return t * t - t + 1.0 / 6.0
-
-
 def fundsol_generalized(p: int, grid: Grid, tol: float = 1e-9) -> GridField:
     """Generalized kernel for integer rho = p >= 0, resonant modes zeroed."""
     p = int(p)
     if p < 0:
         raise ConfigError("generalized kernel takes p >= 0; reflect for p < 0")
-    P = grid.spec.P
-    rho = float(p)
-    xs = np.arange(grid.nx) * grid.hx
-    ys = np.arange(grid.ny) * grid.hy
-    vals = np.zeros(grid.shape)
-    logt = -np.log(tol) + 6.0
-
-    def r0_of(xt):
-        if p == 0:
-            return -(P * P / 2.0) * _bernoulli2(xt / P)
-        return _r0_col(rho, xt, P)
-
-    def rp_gauge(xt, mid=False):
-        # l = p mode with the singular k=0 term removed:
-        # sum_{k!=0} e^{i kap x} / (i kap (2p + i kap))
-        saw = 0.0 if mid else (P / 2.0 - xt)
-        pe = (_periodized_exp_mid(2.0 * p, P) if mid
-              else float(_periodized_exp(2.0 * p, xt, P)))
-        return (saw - (pe - 1.0 / (2.0 * p))) / (2.0 * p)
-
-    for i in range(grid.nx):
-        xt = xs[i]
-        if i == 0:
-            lmax = int(np.ceil(45.0 / P)) + p + 16
-            ls = np.arange(1.0, lmax + 1.0)
-            r_mid = (_periodized_exp_mid(rho - ls, P)
-                     - _periodized_exp_mid(rho + ls, P)) / (2.0 * ls)
-            fast = r_mid + P / (2.0 * ls)
-            if p >= 1:
-                fast[p - 1] = rp_gauge(0.0, mid=True) + P / (2.0 * p)
-            col = (2.0 * np.cos(np.outer(ys, ls))) @ fast
-            with np.errstate(divide="ignore"):
-                col += P * np.log(2.0 * np.abs(np.sin(ys / 2.0)))
-            col += r0_of(0.0)
-            vals[:, 0] = col / (TWO_PI * P)
-            continue
-        rate = min(xt, P - xt)
-        lmax = max(int(np.ceil(logt / rate)) + p + 8, p + 8)
-        ls = np.arange(1.0, lmax + 1.0)
-        r = np.zeros(lmax)
-        keep = ls != p
-        if keep.any():
-            r[keep] = _mode_sums(rho, xt, P, ls[keep])
-        if p >= 1:
-            r[p - 1] = rp_gauge(xt)
-        col = r0_of(xt) + (2.0 * np.cos(np.outer(ys, ls))) @ r
-        vals[:, i] = col / (TWO_PI * P)
-
-    vals[0, 0] = (_regular_part_at_origin(rho, P, p)
-                  + np.log(LATTICE_C0 * float(np.sqrt(grid.hx * grid.hy)))) / TWO_PI
     meta = {"kind": "fundsol_generalized", "p": p, "tol": tol,
             "singular_cell": (0, 0), "gauge": "resonant_modes_zeroed",
             "normalization": "unit_dirac", "sampling": "lattice_offsets"}
-    return GridField(grid, vals, meta)
+    return GridField(grid, _synthesis(float(p), grid, tol, gauged=True), meta)
 
 
 # ----------------------------------------------------------------------

@@ -119,7 +119,8 @@ def martin_function(mask: DomainMask, component: int = 0,
                     z0: Optional[tuple] = None, n: int = 6,
                     m_periods: int = 1, bc: str = "face") -> MartinApprox:
     """Ratio-of-harmonic-measures approximation of the minimal positive
-    harmonic function of the lift, normalized to 1 at z0.
+    harmonic function of the lift, normalized to 1 at z0 (by default the
+    inside cell nearest the window center).
 
     The window spans [-n, n] periods; convergence is checked against the
     [-n+1, n-1] window on the middle third and flagged (never coerced)
@@ -130,9 +131,6 @@ def martin_function(mask: DomainMask, component: int = 0,
     py_lo = -(m_periods // 2)
     py_hi = py_lo + m_periods
     win = lift_window(mask, component, -n, n, py_lo, py_hi, anchor=z0)
-    if z0 is None:
-        jj, ii = np.argwhere(win.inside)
-        z0 = None
     if z0 is not None:
         z0_cell = win.cell_of(*z0)
     else:
@@ -346,7 +344,7 @@ def beta_functional(window: LogWindow, values: np.ndarray, z0: tuple,
 def rho_estimates(mask: DomainMask, component: int = 0,
                   z0: Optional[tuple] = None, n_martin: int = 6,
                   n_decay: tuple = (3, 8), extremal_ns: Sequence[int] = (2, 3, 4, 5),
-                  bc: str = "face", m_periods: int = 1, seed: int = 0,
+                  bc: str = "face", m_periods: int = 1,
                   include_pencil: bool = True) -> list:
     """All growth estimators for one component, plus the pencil value."""
     out = []
@@ -360,7 +358,7 @@ def rho_estimates(mask: DomainMask, component: int = 0,
                                  m_periods=m_periods, anchor=z0))
     if include_pencil:
         from .pencil import rho_min
-        r = rho_min(mask, bc=bc, seed=seed)
+        r = rho_min(mask, bc=bc)
         if r is not None:
             out.append(RhoEstimate("pencil", r, 0.0, (0, 0), {}))
     return out

@@ -415,13 +415,10 @@ def solve_dirichlet(domain, boundary_data, bc: str = "face",
         rhs = rhs + np.asarray(interior_rhs).ravel()[op.free.ravel()]
     u = LinearSystem(op).solve(rhs, rel_tol)
     values = op.embed(u)
-    grid = domain.grid if isinstance(domain, (DomainMask,)) else domain
     meta = {"kind": "laplace_dirichlet", "bc": bc}
     if isinstance(domain, DomainMask):
         return GridField(domain.grid, values, meta)
-    f = GridField.__new__(GridField)      # window field: bypass shape check
-    f.grid, f.values, f.meta = domain, values, meta
-    return f
+    return _window_field(domain, values, meta)
 
 
 def _window_field(window, values, meta):

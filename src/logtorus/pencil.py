@@ -242,7 +242,7 @@ def _default_shifts(box, P: float) -> list:
 def spectrum(mask: DomainMask, search_box, max_count: int = 200,
              tol_res: float = 1e-8, bc: str = "face", k_per_shift: int = 16,
              shifts: Optional[Sequence[complex]] = None,
-             dense_cutoff: int = DENSE_CUTOFF, seed: int = 0) -> SpectrumResult:
+             seed: int = 0) -> SpectrumResult:
     """All certified pencil eigenvalues in a box (re0, re1, im0, im1).
 
     Every reported pair satisfies the relative residual bound tol_res;
@@ -252,7 +252,7 @@ def spectrum(mask: DomainMask, search_box, max_count: int = 200,
     re0, re1, im0, im1 = search_box
     system = PencilSystem(mask, bc=bc, seed=seed)
     accepted: dict = {}
-    if system.n <= dense_cutoff:
+    if system.n <= DENSE_CUTOFF:
         vals, vecs = system.dense_eigs()
         keep = np.isfinite(vals)
         _collect(system, vals[keep], vecs[:, keep], tol_res, accepted)
@@ -372,7 +372,7 @@ def _component_rho_min(mask: DomainMask, bc: str,
 
 
 def rho_min(mask: DomainMask, bc: str = "face", tol_res: float = 1e-8,
-            seed: int = 0, full_result: bool = False):
+            full_result: bool = False):
     """Critical value rho(D): the least positive root of the Perron
     eigenvalue mu(rho) of A(rho) = K + 2*rho*B + rho^2*I, searched below
     rho*hx = RHO_HX_MAX; None when no component is connected on spirals
@@ -385,8 +385,7 @@ def rho_min(mask: DomainMask, bc: str = "face", tol_res: float = 1e-8,
     over all components), the final bracket (lo, hi) of the returned
     component (hi is None when the root was reached from below) and the
     sign margin (least entry of the peak-normalized eigenvector).  The
-    solve is deterministic; seed is accepted for callers that thread one
-    seed through every routine.
+    solve is deterministic: the Perron iteration starts from ones.
     """
     if mask.n_components == 1:
         parts = [mask]
@@ -502,15 +501,15 @@ def check_spectrum_symmetries(result: SpectrumResult, bc: str = "face",
 
 
 def check_monotonicity(mask1: DomainMask, mask2: DomainMask,
-                       bc: str = "face", seed: int = 0) -> CheckReport:
+                       bc: str = "face") -> CheckReport:
     """Strict monotonicity rho(D1) > rho(D2) for D1 strictly inside D2."""
     if not np.all(~mask1.inside | mask2.inside):
         raise ValueError("mask1 must be contained in mask2")
     diff = int((mask2.inside & ~mask1.inside).sum())
     if diff == 0:
         raise ValueError("containment must be strict")
-    r1 = rho_min(mask1, bc=bc, seed=seed)
-    r2 = rho_min(mask2, bc=bc, seed=seed)
+    r1 = rho_min(mask1, bc=bc)
+    r2 = rho_min(mask2, bc=bc)
     h = max(mask1.grid.hx, mask1.grid.hy)
     margin = 1e-8
     ok = (r1 is not None and r2 is not None and r1 > r2 + margin)
@@ -521,17 +520,16 @@ def check_monotonicity(mask1: DomainMask, mask2: DomainMask,
 
 def check_shrinking_limit(masks: Sequence[DomainMask], mask_limit: DomainMask,
                           compact: Optional[np.ndarray] = None,
-                          bc: str = "face", rtol: float = 0.05,
-                          seed: int = 0) -> CheckReport:
+                          bc: str = "face", rtol: float = 0.05) -> CheckReport:
     """rho(D_n) decreases along an increasing exhaustion D_n up to D and
     approaches rho(D); normalized eigenfunctions converge on a fixed
     compact sub-mask."""
     values, fields = [], []
     for m in masks:
-        r = rho_min(m, bc=bc, seed=seed, full_result=True)
+        r = rho_min(m, bc=bc, full_result=True)
         values.append(r.value)
         fields.append(r.eigenfunction)
-    r_lim = rho_min(mask_limit, bc=bc, seed=seed)
+    r_lim = rho_min(mask_limit, bc=bc)
     eps = 1e-10
     decreasing = all(values[i] + eps >= values[i + 1]
                      for i in range(len(values) - 1))
@@ -564,7 +562,7 @@ def matsaev_probe(mask: DomainMask, box=None, bc: str = "face",
     reports the Hausdorff distance without asserting it.
     """
     P = mask.grid.spec.P
-    rmin = rho_min(mask, bc=bc, seed=seed)
+    rmin = rho_min(mask, bc=bc)
     if box is None:
         hi = 3.0 * (rmin or 3.0)
         box = (-hi, hi, -1.2 * TWO_PI / P, 1.2 * TWO_PI / P)
@@ -581,7 +579,7 @@ def matsaev_probe(mask: DomainMask, box=None, bc: str = "face",
     # Prop-6.7-style identity via the exact reflection symmetry:
     # largest negative point of Spec(D) equals -rho_min(reflect(D))
     rmin_r = spec_r.rho_min if spec_r.rho_min is not None else \
-        rho_min(reflect_mask(mask), bc=bc, seed=seed)
+        rho_min(reflect_mask(mask), bc=bc)
     neg = [r.real for r in spec_d.eigenvalues
            if r.real < 0 and abs(r.imag) <= _tol_real(mask, tol_res)]
     max_negative = max(neg) if neg else None

@@ -42,7 +42,7 @@ import numpy as np
 
 from .errors import ConfigError, EmptyInterior, IterationLimit, SolverFailure
 from .operators import LinearSystem, assemble
-from .pencil import rho_min
+from .pencil import erode_periodic, rho_min
 from .torus import (DomainMask, Grid, GridField, Strip, build_domain,
                     components, mask_from_inside)
 
@@ -253,15 +253,7 @@ def _dilate(inside, steps=1):
     return out
 
 
-def _erode(inside, steps=1):
-    out = inside.copy()
-    for _ in range(steps):
-        out = (out & np.roll(out, 1, 0) & np.roll(out, -1, 0)
-               & np.roll(out, 1, 1) & np.roll(out, -1, 1))
-    return out
-
-
-def _lambda_of_mask(mask: DomainMask, seed: int = 0) -> tuple:
+def _lambda_of_mask(mask: DomainMask) -> tuple:
     """(max over components of 1/rho, per-component list)."""
     per = []
     for c, part in enumerate(components(mask)):
@@ -274,7 +266,7 @@ def _lambda_of_mask(mask: DomainMask, seed: int = 0) -> tuple:
             per.append({"component": c, "lambda": 0.0, "rho": None,
                         "spiral": sc.kind})
             continue
-        r = rho_min(part, seed=seed)
+        r = rho_min(part)
         lam = 1.0 / r if r else 0.0
         per.append({"component": c, "lambda": lam, "rho": r,
                     "spiral": sc.kind})
@@ -283,7 +275,7 @@ def _lambda_of_mask(mask: DomainMask, seed: int = 0) -> tuple:
 
 
 def lambda_value(set_or_mask, grid: Optional[Grid] = None,
-                 bounds: bool = True, seed: int = 0) -> LambdaValue:
+                 bounds: bool = True) -> LambdaValue:
     """lambda of a rasterized set: per-component 1/rho, maximized over
     components; components not connected on spirals contribute 0.
 
@@ -305,16 +297,16 @@ def lambda_value(set_or_mask, grid: Optional[Grid] = None,
         if inside.all():
             return LambdaValue(np.inf, np.inf, np.inf, [], {"full": True})
         mask = mask_from_inside(grid, inside)
-    value, per = _lambda_of_mask(mask, seed=seed)
+    value, per = _lambda_of_mask(mask)
     inner = outer = None
     if bounds:
-        ero = _erode(inside)
+        ero = erode_periodic(inside)
         inner = 0.0
         if ero.any():
-            inner = _lambda_of_mask(mask_from_inside(grid, ero), seed=seed)[0]
+            inner = _lambda_of_mask(mask_from_inside(grid, ero))[0]
         dil = _dilate(inside)
         outer = np.inf if dil.all() else \
-            _lambda_of_mask(mask_from_inside(grid, dil), seed=seed)[0]
+            _lambda_of_mask(mask_from_inside(grid, dil))[0]
     return LambdaValue(value, inner, outer, per, {})
 
 
@@ -327,8 +319,8 @@ class ExistenceReport:
     details: dict = field(default_factory=dict)
 
 
-def existence_test(m: GridField, rho: float, rel_margin: float = 0.02,
-                   seed: int = 0) -> ExistenceReport:
+def existence_test(m: GridField, rho: float,
+                   rel_margin: float = 0.02) -> ExistenceReport:
     """Classify existence of a nonzero subminorant for the obstacle m.
 
     guaranteed: m >= 0 everywhere and the positivity set has a component
@@ -347,7 +339,7 @@ def existence_test(m: GridField, rho: float, rel_margin: float = 0.02,
     if pos.all():
         return ExistenceReport("guaranteed", rho, None, nonneg,
                                {"reason": "m strictly positive; constants work"})
-    lam = lambda_value(pos, grid=grid, bounds=True, seed=seed)
+    lam = lambda_value(pos, grid=grid, bounds=True)
     t = lam.value * rho
     t_outer = (lam.outer if lam.outer is not None else lam.value) * rho
     if t_outer < 1.0 - rel_margin:
@@ -394,7 +386,7 @@ def _default_witnesses(grid: Grid):
 
 def minimality_test(v: GridField, rho: float,
                     witnesses: Optional[Sequence] = None,
-                    tol: float = 1e-6, seed: int = 0) -> MinimalityReport:
+                    tol: float = 1e-6) -> MinimalityReport:
     """Minimality classification of a certified subfunction.
 
     nonminimal when v >= c > 0 everywhere or L_h v >= c > 0 everywhere
@@ -431,7 +423,7 @@ def minimality_test(v: GridField, rho: float,
         shapes = witnesses if witnesses is not None else _default_witnesses(grid)
         for shape in shapes:
             wmask = build_domain(grid.spec, grid.nx, grid.ny, shape)
-            r = rho_min(wmask, seed=seed)
+            r = rho_min(wmask)
             candidates.append({"witness": repr(shape), "rho": r})
             if r is not None and r < rho * (1.0 - 1e-3):
                 details["witness"] = candidates[-1]
@@ -447,7 +439,7 @@ def minimality_test(v: GridField, rho: float,
                 sc = hmask.spiral_of(c)
                 if not sc.connected:
                     continue
-                r = rho_min(part, seed=seed)
+                r = rho_min(part)
                 candidates.append({"component": c, "rho": r})
                 if r is not None and r < rho * (1.0 - 1e-3):
                     details["witness"] = candidates[-1]

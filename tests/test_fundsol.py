@@ -58,6 +58,31 @@ def test_fourier_weierstrass_agree_off_singularity(rho):
     assert F.meta["singular_cell"] == (0, 0)
 
 
+@pytest.mark.parametrize("shape", [(48, 80), (81, 40)])
+def test_non_square_grids(shape):
+    # rows are y and columns x on every grid; a transposed synthesis
+    # cannot pass on these shapes
+    nx, ny = shape
+    grid = Grid(TorusSpec(0.9), nx, ny)
+    off = ~cell_box(grid, 4)
+    for rho in (0.5, 1.5):
+        F = fundsol_fourier(rho, grid, tol=1e-10)
+        W = fundsol_weierstrass(rho, grid, tol=1e-10)
+        assert F.values.shape == (ny, nx)
+        assert np.max(np.abs(F.values - W.values)[off]) < 1e-9
+    ys = (np.arange(ny) * grid.hy)[:, None] * np.ones((1, nx))
+    far = offset_distance(grid) > 1.2
+    for p in (0, 1, 2):
+        E = fundsol_generalized(p, grid, tol=1e-12)
+        op = assemble(grid, "l_rho", rho=float(p))
+        res = (op.matrix @ E.values.ravel()).reshape(grid.shape)
+        if p == 0:
+            expect = -np.ones(grid.shape) / (2 * np.pi * 0.9)
+        else:
+            expect = -np.cos(p * ys) / (np.pi * 0.9)
+        assert np.max(np.abs(res - expect)[far]) < 0.02
+
+
 def test_kernel_even_in_y():
     F = fundsol_fourier(1.5, GRID, tol=1e-10)
     assert np.allclose(F.values[1:, :], F.values[:0:-1, :], atol=1e-10)

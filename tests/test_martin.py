@@ -128,3 +128,18 @@ def test_beta_functional_bounded_vs_diverging():
     assert rep2["diverging"]             # grows twice as fast as measure decays
     zero = beta_functional(win, np.zeros(win.shape), (0.3, 0.0), range(3, 6))
     assert zero["beta"] == 0.0 and not zero["diverging"]
+
+
+def test_estimates_without_base_point():
+    # z0=None picks the inside cell nearest the window center
+    mask = build_domain(SPEC, 48, 48, Strip(-1.0, 1.0))
+    H = martin_function(mask, 0, n=4)
+    j0, i0 = H.z0
+    assert H.window.inside[j0, i0]
+    assert H.values[j0, i0] == pytest.approx(1.0)
+    ests = rho_estimates(mask, 0, n_martin=4, n_decay=(3, 5),
+                         extremal_ns=(2, 3))
+    assert len(ests) == 5
+    for e in ests:
+        assert np.isfinite(e.value) and e.value > 0
+    assert consistency_table(ests)["max_rel_disagreement"] < 0.05
