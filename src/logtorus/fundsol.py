@@ -18,16 +18,20 @@ The Fourier route performs the k-sum per mode l in closed form (it is a
 periodized exponential) for all columns at once and truncates the l-sum
 by its exponential tail; on the lattice the l-sum folds by l mod ny into
 one FFT over y.  The generalized kernel below is the same synthesis with
-the resonant mode gauged.  The Weierstrass route truncates the shift sum
-by its genus tails.  The two evaluations share no code beyond the
-flagged singular-offset placeholder, so their agreement off the
-singularity cross-checks the symbol, the genus structure, and the
-normalization at once.
+the resonant mode gauged.  The Weierstrass route adds one full-grid
+term per shift until both genus tails fall below the tolerance; deep
+left shifts sum their tail series by Horner's rule.  The two
+evaluations share no code beyond the flagged singular-offset
+placeholder, so their agreement off the singularity cross-checks the
+symbol, the genus structure, and the normalization at once.
 
 Kernels are sampled at lattice offsets (i*hx, j*hy); the singular offset
 (0,0) carries a finite placeholder (regular part of the shift sum minus
 log(c0*h), with the 5-point lattice constant c0 = 0.5615) so that grid
-convolutions stay finite.  The placeholder cell is flagged in meta.
+convolutions stay finite.  The regular part is the shift sum at the
+origin summed over k in closed form (geometric and arithmetico-geometric
+series), gauged like the kernel for integer rho.  The placeholder cell
+is flagged in meta.
 
 For integer rho = p the resonant modes (k,l) = (0,+-p) are zeroed (gauge
 choice A = 0); the generalized kernel then satisfies
@@ -209,13 +213,19 @@ def fundsol_fourier(rho: float, grid: Grid, tol: float = 1e-9) -> GridField:
 # Weierstrass route: genus-p log factors over x-shifts
 # ----------------------------------------------------------------------
 
-def _weier_term(X, Y, p, rho, tail_terms: int = 60):
-    """H(e^{X+iY}, p) e^{-rho X}, evaluated in three regimes.
+def _weier_term(X, Y, p, rho):
+    """H(e^{X+iY}, p) e^{-rho X}, evaluated in two regimes.
 
-    For X << 0 the log factor cancels the power-sum head to order
-    |u|^{p+1}; there the term is computed from the tail series
-    -sum_{m>p} e^{(m-rho)X} cos(mY)/m, which the e^{-rho X} weight
-    cannot blow up.  Elsewhere the direct split form is stable.
+    For X < -0.5 the log factor cancels the power-sum head to order
+    |u|^{p+1}; there the term is the tail series, which the e^{-rho X}
+    weight cannot blow up, summed by Horner's rule in u = e^{X+iY}:
+
+        -Re[ e^{(p+1-rho)X + i(p+1)Y} * sum_{j<J} u^j/(p+1+j) ].
+
+    J = min(60, ceil(37/|X_max|)) over the call's deep points, so the
+    omitted tail stays below e^{-37} (half an ulp) of the leading term
+    wherever J < 60; the cap of 60 terms leaves e^{-30} at X = -0.5.
+    Elsewhere the direct split form is stable.
     """
     X = np.asarray(X, float)
     Y = np.asarray(Y, float)
@@ -225,10 +235,14 @@ def _weier_term(X, Y, p, rho, tail_terms: int = 60):
     deep = Xb < -0.5
     if deep.any():
         xd, yd = Xb[deep], Yb[deep]
-        acc = np.zeros_like(xd)
-        for m in range(p + 1, p + 1 + tail_terms):
-            acc -= np.exp((m - rho) * xd) * np.cos(m * yd) / m
-        out[deep] = acc
+        J = min(60, int(np.ceil(37.0 / -xd.max())))
+        u = np.exp(xd + 1j * yd)
+        acc = np.full(xd.shape, 1.0 / (p + J), dtype=complex)
+        for j in range(J - 2, -1, -1):
+            acc *= u
+            acc += 1.0 / (p + 1 + j)
+        acc *= np.exp((p + 1 - rho) * xd + 1j * (p + 1) * yd)
+        out[deep] = -acc.real
 
     rest = ~deep
     if rest.any():
@@ -245,17 +259,36 @@ def _weier_term(X, Y, p, rho, tail_terms: int = 60):
     return out
 
 
-def _regular_part_at_origin(rho, P, p, kmax=400, tol=1e-15):
-    """lim_{z->0} [2*pi*E_rho(z) - log|z|] via the shift sum."""
-    reg = sum(1.0 / m for m in range(1, p + 1))
-    for k in range(1, kmax + 1):
-        t = 0.0
-        for kk in (k, -k):
-            t += float(_weier_term(kk * P, 0.0, p, rho))
-        reg += t
-        if abs(t) < tol:
-            break
-    return reg
+def _regular_part_at_origin(rho, P, p):
+    """lim_{z->0} [2*pi*E_rho(z) - log|z|] for rho >= 0, p = floor(rho).
+
+    The shift terms at (kP, 0) are geometric and arithmetico-geometric
+    in k, so their sum is closed:
+
+        H_p + P q/(1-q)^2 + sum_{m<=p} 1/(m (e^{(rho-m)P} - 1))
+            - sum_{n>=1} 1/(n (e^{(rho+n)P} - 1))
+            - sum_{m>p}  1/(m (e^{(m-rho)P} - 1)),      q = e^{-rho P},
+
+    with H_p = sum_{m<=p} 1/m.  Both series fall like e^{-nP}; they stop
+    once (n + rho)P and (m - rho)P pass 40, where a term is below 1e-17.
+    For integer rho = p the generalized kernel's gauge drops the
+    resonant k = 0 modes, and the divergent term takes its finite part:
+    the m = p term becomes 1/(2 p^2 P) - 1/(2p), and for p = 0 the
+    lattice term P q/(1-q)^2 becomes -P/12.
+    """
+    n = np.arange(1.0, np.ceil(40.0 / P) + 2.0)
+    m = np.arange(1.0, p + 1.0)
+    reg = (np.sum(1.0 / m)
+           - np.sum(1.0 / (n * np.expm1((n + rho) * P)))
+           - np.sum(1.0 / ((n + p) * np.expm1((n + p - rho) * P))))
+    if rho == p:
+        if p == 0:
+            return float(reg - P / 12.0)
+        m = m[:-1]
+        reg += 1.0 / (2.0 * p * p * P) - 1.0 / (2.0 * p)
+    reg += P * np.exp(-rho * P) / np.expm1(-rho * P) ** 2
+    reg += np.sum(1.0 / (m * np.expm1((rho - m) * P)))
+    return float(reg)
 
 
 def _placeholder(rho, P, p, h):

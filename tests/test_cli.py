@@ -78,6 +78,29 @@ def test_dirichlet_sweep_riesz_roundtrip(tmp_path):
     assert err < 1e-8
 
 
+def test_fundsol_command(tmp_path):
+    tmp = str(tmp_path)
+    cfg = write(tmp, "cfg.txt",
+                f"P {LOG2!r}\nnx 48\nny 48\nrho 1.5\nout {tmp}/out\n")
+    assert main(["fundsol", cfg]) == 0
+    F = read_field_csv(os.path.join(tmp, "out", "fundsol_fourier.csv"))
+    W = read_field_csv(os.path.join(tmp, "out", "fundsol_weierstrass.csv"))
+    assert F.values.shape == W.values.shape == (48, 48)
+    rep = open(os.path.join(tmp, "out", "fundsol_report.txt")).read()
+    fields = dict(l.split() for l in rep.splitlines() if not l.startswith("#"))
+    d = float(fields["max_disagreement_off_singular"])
+    gap = np.abs(F.values - W.values)
+    gap[0, 0] = 0.0
+    assert d < 1e-6 and d == gap.max()   # row 0 and column 0 count too
+    assert int(fields["weierstrass_shifts"]) > 0
+
+    cfg = write(tmp, "int.txt",
+                f"P {LOG2!r}\nnx 48\nny 48\nrho 1\nout {tmp}/int\n")
+    assert main(["fundsol", cfg]) == 0
+    E = read_field_csv(os.path.join(tmp, "int", "fundsol_generalized.csv"))
+    assert E.values.shape == (48, 48) and np.isfinite(E.values).all()
+
+
 def test_lambda_and_subminorant_commands(tmp_path):
     tmp = str(tmp_path)
     shp = write(tmp, "shape.txt", SHAPE)

@@ -10,11 +10,12 @@ discrete residual identities of the generalized and grid-exact kernels.
 import numpy as np
 import pytest
 
+from logtorus import fundsol
 from logtorus.errors import MassSymmetryViolated, NearIntegerRho
 from logtorus.fundsol import (
     GridMeasure, discrete_kernel, fourier_coefficient, fundsol_fourier,
     fundsol_generalized, fundsol_weierstrass, mass_symmetry_integrals,
-    potential, representation_check, _weier_term,
+    potential, representation_check, _regular_part_at_origin, _weier_term,
 )
 from logtorus.operators import assemble
 from logtorus.torus import Grid, GridField, TorusSpec
@@ -116,6 +117,104 @@ def test_genus_factor_bound_on_half_circle(p):
     X = np.full_like(th, np.log(0.5))
     vals = np.abs(_weier_term(X, th, p, 0.0))
     assert np.max(vals) <= 4.0 * 0.5 ** (p + 1)
+
+
+def _tail_series_60(X, Y, p, rho):
+    """The 60-term direct series -sum_{m>p} e^{(m-rho)X} cos(mY)/m."""
+    acc = np.zeros(np.broadcast(X, Y).shape)
+    for m in range(p + 1, p + 61):
+        acc -= np.exp((m - rho) * X) * np.cos(m * Y) / m
+    return acc
+
+
+def test_horner_tail_matches_direct_series():
+    Y = np.random.default_rng(5).uniform(0.0, 2 * np.pi, 400)
+    xs = (-0.5 - 1e-9, -0.7, -2.0, -10.0, -300.0)
+    X, YY = np.repeat(xs, Y.size), np.tile(Y, len(xs))
+    for p in range(5):
+        for rho in (0.0, p + 0.3, p + 0.7):
+            # one call per X, so each gets its own number of Horner
+            # terms, and one call over all of them
+            per_x = np.concatenate(
+                [_weier_term(np.full(Y.shape, x), Y, p, rho) for x in xs])
+            for out in (per_x, _weier_term(X, YY, p, rho)):
+                ref = _tail_series_60(X, YY, p, rho)
+                assert np.all(np.abs(out - ref) <= 1e-15 + 1e-14 * np.abs(ref))
+
+
+def _shift_sum_at_origin(rho, P, K=200_000):
+    """H_p + sum_{k=1..K} of the shift terms at (+-kP, 0), p = floor(rho):
+    right terms in closed form per shift, left terms summed over m."""
+    p = int(np.floor(rho))
+    x = np.arange(1.0, K + 1.0) * P
+    right = np.exp(-rho * x) * (x + np.log1p(-np.exp(-x)))
+    for m in range(1, p + 1):
+        right += np.exp((m - rho) * x) / m
+    total = sum(1.0 / m for m in range(1, p + 1)) + np.sum(right)
+    m = p + 1
+    while True:
+        left = np.sum(np.exp(-(m - rho) * x)) / m
+        total -= left
+        if left < 1e-18:
+            return total
+        m += 1
+
+
+@pytest.mark.parametrize("rho", [0.05, 1.01, 1.05, 2.95, 0.325, 5.5])
+def test_regular_part_matches_converged_shift_sum(rho):
+    # a truncated shift loop misses this near integer rho (by 8.99 at 1.01)
+    for P in (LOG2, 0.9):
+        ref = _shift_sum_at_origin(rho, P)
+        got = _regular_part_at_origin(rho, P, int(np.floor(rho)))
+        assert got == pytest.approx(ref, rel=1e-10)
+
+
+@pytest.mark.parametrize("p", [0, 1, 2])
+def test_regular_part_gauged_at_integer_rho(p):
+    # the regular part minus the resonant k = 0 modes is even and smooth
+    # in rho - p; Richardson on the two-sided mean leaves O(eps^4)
+    def gauged(eps):
+        vals = []
+        for rho in (p + eps, p - eps):
+            resonant = (1.0 / (LOG2 * rho * rho) if p == 0
+                        else 2.0 / (LOG2 * (rho * rho - p * p)))
+            vals.append(_shift_sum_at_origin(abs(rho), LOG2) - resonant)
+        return 0.5 * (vals[0] + vals[1])
+    ref = (4.0 * gauged(0.01) - gauged(0.02)) / 3.0
+    got = _regular_part_at_origin(float(p), LOG2, p)
+    assert abs(got - ref) < 2e-6
+
+
+# shifts_used of the 64x64, P = log 2, tol = 1e-9 shift loop, which
+# counts right/left pairs until both fall below tol/10
+WEIERSTRASS_SHIFTS_64 = {0.325: 122, 1.675: 101, 3.325: 98, -1.5: 67}
+
+
+def test_weierstrass_call_contract(monkeypatch):
+    # one array term for the base lattice point and two per shift; the
+    # placeholder and the Fourier route evaluate no term at all
+    calls = []
+    inner = fundsol._weier_term
+
+    def counting(X, *args):
+        calls.append(isinstance(X, np.ndarray))
+        return inner(X, *args)
+
+    monkeypatch.setattr(fundsol, "_weier_term", counting)
+    grid = Grid(SPEC, 64, 64)
+    for rho, shifts in WEIERSTRASS_SHIFTS_64.items():
+        calls.clear()
+        W = fundsol_weierstrass(rho, grid)
+        assert W.meta["shifts_used"] == shifts
+        assert calls == [True] * (1 + 2 * shifts)
+    for rho in (0.325, -1.5):
+        calls.clear()
+        fundsol_fourier(rho, grid)
+        assert calls == []
+    for p in (0, 1, 2):
+        calls.clear()
+        fundsol_generalized(p, grid)
+        assert calls == []
 
 
 def test_discrete_residual_of_continuum_kernel_decays_like_h2():
