@@ -27,7 +27,7 @@ from . import verify as verify_mod
 from .errors import ConfigError, LogTorusError
 from .fieldio import (atomic_write, field_to_csv, format_float, mask_to_csv,
                       read_field_csv, spectrum_to_csv)
-from .fundsol import (fundsol_fourier, fundsol_generalized,
+from .fundsol import (INTEGER_GUARD, fundsol_fourier, fundsol_generalized,
                       fundsol_weierstrass)
 from .martin import consistency_table, rho_estimates
 from .pencil import check_spectrum_symmetries, matsaev_probe, rho_min, spectrum
@@ -174,10 +174,14 @@ class Runner:
         ny = int(self.cfg.get("ny", 96))
         grid = Grid(TorusSpec(P), nx, ny)
         rho = self.rho()
-        if abs(rho - round(rho)) < 1e-9:
-            E = fundsol_generalized(int(round(rho)), grid)
+        p = int(round(rho))
+        if abs(rho - p) < INTEGER_GUARD:
+            E = fundsol_generalized(p, grid)
             field_to_csv(os.path.join(self.out, "fundsol_generalized.csv"),
                          E, extra=self.header())
+            if rho != p:
+                self.flags.append(f"rho={rho} is within {INTEGER_GUARD} of "
+                                  f"{p}: wrote the kernel for rho={p}")
         else:
             F = fundsol_fourier(rho, grid)
             W = fundsol_weierstrass(rho, grid)

@@ -1,20 +1,35 @@
 """Discrete elliptic operators on the torus and on log-plane windows.
 
-Assembles 5-point Laplacians, centered first differences d/dx, and the
-combination  L_rho = Laplacian + 2*rho*d/dx + rho^2  over the inside
-cells of a region, with Dirichlet conditions at outside cells.  Two
-Dirichlet conventions are supported:
+Assembles the five-point form of  L_rho = Laplacian + 2*rho*d/dx + rho^2
+over the inside cells of a region, and its parts kind='laplacian' and
+kind='d_dx' (centered first difference), in one pass over the four
+links of every cell.  A link towards +-x carries c_lap = 1/hx^2 and
+c_dx = +-1/(2*hx), a link towards +-y carries c_lap = 1/hy^2 and no d/dx
+part; the link's coefficient is c = c_lap + 2*rho*c_dx for l_rho, c_lap
+for the Laplacian and c_dx for d/dx.  A link to an inside neighbor puts
+c in the neighbor's column.  Every link subtracts c_lap from the
+Laplacian part of the diagonal; l_rho's diagonal is that part plus
+2*rho times the d/dx part plus rho^2.  A link to an outside cell (or
+beyond a window's edge, where there is no data cell) follows the
+Dirichlet or insulated convention bc:
 
 ``bc='outside'``
     the classical "rows removed" form: the unknown at an outside cell is
-    replaced by its data value (data lives at outside cell centers).
-    Exact discrete identities (Riesz reconstruction, sweeping) use this.
+    replaced by its data value (data lives at outside cell centers), so
+    the link couples c to the data.  Exact discrete identities (Riesz
+    reconstruction, sweeping) use this.
 
 ``bc='face'``
     data lives on the shared cell face; the outside value is eliminated
-    by odd reflection (ghost = 2*data - inside value).  For boundaries
-    aligned with cell faces this restores O(h^2) accuracy and is the
-    default for eigenvalue and boundary-value computations.
+    by odd reflection (ghost = 2*data - inside value): the link couples
+    2c to the data and subtracts c_lap and c_dx once more from the two
+    diagonal parts.  For boundaries aligned with cell faces this
+    restores O(h^2) accuracy and is the default for eigenvalue and
+    boundary-value computations.
+
+``bc='neumann'``
+    insulated: the link does not count, so it adds its c_lap back to
+    the Laplacian part of the diagonal and couples nothing.
 
 Windows cut from the x-covering plane use the same machinery without
 periodic wrap; their artificial edges are Dirichlet-0, and harmonic
@@ -30,7 +45,7 @@ per set.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -145,18 +160,17 @@ class Region:
     inside: np.ndarray
     hx: float
     hy: float
-    periodic_x: bool
-    periodic_y: bool
+    periodic: bool
 
 
 def region_of(domain) -> Region:
     if isinstance(domain, Grid):
         return Region(np.ones(domain.shape, dtype=bool), domain.hx, domain.hy,
-                      True, True)
+                      True)
     if isinstance(domain, DomainMask):
-        return Region(domain.inside, domain.grid.hx, domain.grid.hy, True, True)
+        return Region(domain.inside, domain.grid.hx, domain.grid.hy, True)
     if isinstance(domain, LogWindow):
-        return Region(domain.inside, domain.hx, domain.hy, False, False)
+        return Region(domain.inside, domain.hx, domain.hy, False)
     raise ConfigError(f"cannot assemble over {type(domain).__name__}")
 
 
@@ -246,101 +260,82 @@ class OperatorMatrix:
         return out
 
 
-def _neighbor_tables(region: Region):
-    """Per direction: (axis, di, dj, neighbor kind arrays).
+_BCS = ("face", "outside", "neumann")
 
-    For every inside cell and each of the four neighbors, classifies the
-    neighbor as inside (with its dof) or Dirichlet-outside (including
-    beyond-edge cells of windows, flat index -1).
+
+def _stencil(region: Region, kind: str, rho: complex, bc: str):
+    """One pass over the four links of every inside cell.
+
+    Each link's coefficient goes into one COO list (inside neighbor) or
+    into the coupling and the diagonal by the bc rule (outside neighbor;
+    beyond-edge cells of windows have no data cell).  The Laplacian and
+    d/dx parts of the diagonal are kept apart and combined once, so that
+    l_rho = laplacian + 2*rho*d_dx + rho^2 holds exactly.
     """
+    if bc not in _BCS:
+        raise ConfigError(f"unknown bc {bc!r}")
     inside = region.inside
+    n = int(inside.sum())
+    if n == 0:
+        raise EmptyInterior("no inside cells")
     ny, nx = inside.shape
     idx = -np.ones((ny, nx), dtype=np.int64)
-    idx[inside] = np.arange(int(inside.sum()))
-    J, I = np.nonzero(inside)
-    tables = []
-    for dj, di, axis in ((0, 1, "x"), (0, -1, "x"), (1, 0, "y"), (-1, 0, "y")):
-        jj, ii = J + dj, I + di
-        offgrid = np.zeros(jj.shape, dtype=bool)
-        if region.periodic_y:
-            jj %= ny
-        else:
-            offgrid |= (jj < 0) | (jj >= ny)
-        if region.periodic_x:
-            ii %= nx
-        else:
-            offgrid |= (ii < 0) | (ii >= nx)
-        jc = np.clip(jj, 0, ny - 1)
-        ic = np.clip(ii, 0, nx - 1)
-        nb_inside = ~offgrid & inside[jc, ic]
-        nb_dof = np.where(nb_inside, idx[jc, ic], -1)
-        nb_flat = np.where(offgrid, -1, jc * nx + ic)
-        tables.append((axis, di, dj, nb_inside, nb_dof, nb_flat))
-    return idx, tables
-
-
-def _assemble_elementary(region: Region, kind: str, bc: str):
-    """COO data for 'laplacian' or 'd_dx' over inside cells, plus coupling."""
-    inside = region.inside
-    if not inside.any():
-        raise EmptyInterior("no inside cells")
-    n = int(inside.sum())
-    idx, tables = _neighbor_tables(region)
+    idx[inside] = np.arange(n)
+    # neighbor dofs and flat cells, padded by one cell: wrapped on the
+    # torus, -1 (no dof, no data cell) beyond the edges of a window
+    pad = {"mode": "wrap"} if region.periodic else {"constant_values": -1}
+    nb_dofs = np.pad(idx, 1, **pad).ravel()
+    nb_cells = np.pad(np.arange(ny * nx).reshape(ny, nx), 1, **pad).ravel()
+    at = np.flatnonzero(np.pad(inside, 1))    # inside cells in the tables
+    two_rho = 2.0 * rho
+    lap, dx = np.zeros(n), np.zeros(n)          # diagonal parts
     rows, cols, vals = [], [], []
-    diag = np.zeros(n)
-    c_rows, c_cells, c_vals = [], [], []      # Dirichlet-outside coupling
-    hx, hy = region.hx, region.hy
-    all_rows = np.arange(n)
+    none = np.zeros(0, dtype=np.int64)
+    c_rows, c_cells, c_vals = [none], [none], [np.zeros(0)]   # coupling
 
-    for axis, di, dj, nb_inside, nb_dof, nb_flat in tables:
-        if kind == "laplacian":
-            c = 1.0 / (hx * hx) if axis == "x" else 1.0 / (hy * hy)
-            diag -= c
-        elif kind == "d_dx":
-            if axis == "y":
-                continue
-            c = di / (2.0 * hx)
-        else:
-            raise ConfigError(f"unknown elementary kind {kind!r}")
+    for dj, di in ((0, 1), (0, -1), (1, 0), (-1, 0)):
+        if kind == "d_dx" and di == 0:
+            continue
+        c_lap = 1.0 / region.hx ** 2 if di else 1.0 / region.hy ** 2
+        c_dx = di / (2.0 * region.hx)
+        c = {"laplacian": c_lap, "d_dx": c_dx}.get(kind, c_lap + two_rho * c_dx)
+        lap -= c_lap
+        link = at + dj * (nx + 2) + di
+        dof = nb_dofs[link]
+        nb = dof >= 0
+        rows.append(np.flatnonzero(nb))
+        cols.append(dof[nb])
+        vals.append(np.full(len(cols[-1]), c))
 
-        rows.append(all_rows[nb_inside])
-        cols.append(nb_dof[nb_inside])
-        vals.append(np.full(int(nb_inside.sum()), c))
+        out = ~nb                          # outside / beyond-edge neighbor
+        if bc == "neumann":
+            # insulated: the missing link simply does not count
+            lap[out] += c_lap
+            continue
+        if bc == "face":
+            # ghost = 2*data - u_center
+            lap[out] -= c_lap
+            dx[out] -= c_dx
+        cell = nb_cells[link]
+        has_data = out & (cell >= 0)
+        c_rows.append(np.flatnonzero(has_data))
+        c_cells.append(cell[has_data])
+        c_vals.append(np.full(len(c_rows[-1]), 2.0 * c if bc == "face" else c))
 
-        mo = ~nb_inside                    # outside / beyond-edge neighbor
-        if mo.any():
-            r = all_rows[mo]
-            if bc == "outside":
-                has_cell = nb_flat[mo] >= 0
-                c_rows.append(r[has_cell])
-                c_cells.append(nb_flat[mo][has_cell])
-                c_vals.append(np.full(int(has_cell.sum()), c))
-            elif bc == "face":
-                # ghost = 2*data - u_center
-                diag[r] -= c
-                has_cell = nb_flat[mo] >= 0
-                c_rows.append(r[has_cell])
-                c_cells.append(nb_flat[mo][has_cell])
-                c_vals.append(np.full(int(has_cell.sum()), 2.0 * c))
-            elif bc == "neumann":
-                # insulated: the missing link simply does not count
-                if kind == "laplacian":
-                    diag[r] += c
-            else:
-                raise ConfigError(f"unknown bc {bc!r}")
-
-    rows.append(all_rows)
-    cols.append(all_rows)
+    if kind == "laplacian":
+        diag = lap
+    elif kind == "d_dx":
+        diag = dx
+    else:
+        diag = lap + two_rho * dx + rho * rho
+    rows.append(np.arange(n))
+    cols.append(np.arange(n))
     vals.append(diag)
     A = sparse.csr_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
         shape=(n, n))
-
-    def cat(parts, dtype):
-        return (np.concatenate(parts).astype(dtype)
-                if parts else np.zeros(0, dtype=dtype))
-
-    coup = (cat(c_rows, np.int64), cat(c_cells, np.int64), cat(c_vals, float))
+    coup = (np.concatenate(c_rows), np.concatenate(c_cells),
+            np.concatenate(c_vals))
     return A, coup, idx
 
 
@@ -348,27 +343,16 @@ def assemble(domain, kind: str = "l_rho", rho: complex = 0.0,
              bc: str = "face", clamp: Optional[np.ndarray] = None) -> OperatorMatrix:
     """Assemble a discrete operator over a Grid, DomainMask, or LogWindow.
 
-    l_rho is composed as laplacian + 2*rho*d_dx + rho^2*I from the
-    elementary matrices, so that identity holds exactly.  With clamp,
+    One stencil pass builds the matrix and the Dirichlet coupling of
+    kind 'laplacian', 'd_dx' or 'l_rho' (see the module docstring);
+    l_rho equals laplacian + 2*rho*d_dx + rho^2*I exactly.  With clamp,
     the result is the unclamped operator restricted by
     OperatorMatrix.restrict(clamp).
     """
     if kind not in _KINDS:
         raise ConfigError(f"kind must be one of {_KINDS}")
     region = region_of(domain)
-    K, coupK, idx = _assemble_elementary(region, "laplacian", bc)
-    if kind == "laplacian":
-        A, coup = K, coupK
-    else:
-        B, coupB, _ = _assemble_elementary(region, "d_dx", bc)
-        if kind == "d_dx":
-            A, coup = B, coupB
-        else:
-            A = (K + 2.0 * rho * B + rho * rho *
-                 sparse.identity(K.shape[0], format="csr")).tocsr()
-            coup = (np.concatenate([coupK[0], coupB[0]]),
-                    np.concatenate([coupK[1], coupB[1]]),
-                    np.concatenate([coupK[2], 2.0 * rho * coupB[2]]))
+    A, coup, idx = _stencil(region, kind, rho, bc)
     none = np.zeros(0, dtype=np.int64)
     op = OperatorMatrix(A, kind, rho, bc, domain, region, idx, region.inside,
                         coup[0], coup[1], coup[2], none, none,
@@ -398,9 +382,7 @@ class LinearSystem:
         return u
 
 
-def solve_dirichlet(domain, boundary_data, bc: str = "face",
-                    interior_rhs: Optional[np.ndarray] = None,
-                    rel_tol: float = 1e-10) -> GridField:
+def solve_dirichlet(domain, boundary_data, bc: str = "face") -> GridField:
     """Solve the Laplace Dirichlet problem on a mask or window.
 
     boundary_data: array over all cells, read at outside cells adjacent to
@@ -411,9 +393,7 @@ def solve_dirichlet(domain, boundary_data, bc: str = "face",
     data = boundary_data.values if isinstance(boundary_data, GridField) else boundary_data
     op = assemble(domain, "laplacian", bc=bc)
     rhs = op.boundary_rhs(np.asarray(data, dtype=float))
-    if interior_rhs is not None:
-        rhs = rhs + np.asarray(interior_rhs).ravel()[op.free.ravel()]
-    u = LinearSystem(op).solve(rhs, rel_tol)
+    u = LinearSystem(op).solve(rhs)
     values = op.embed(u)
     meta = {"kind": "laplace_dirichlet", "bc": bc}
     if isinstance(domain, DomainMask):
@@ -427,8 +407,7 @@ def _window_field(window, values, meta):
     return f
 
 
-def harmonic_measure_field(domain, target: np.ndarray, bc: str = "face",
-                           rel_tol: float = 1e-10):
+def harmonic_measure_field(domain, target: np.ndarray, bc: str = "face"):
     """Harmonic measure of a target set as a field.
 
     Target cells that are interior are clamped to 1 (crosscut measure);
@@ -447,7 +426,7 @@ def harmonic_measure_field(domain, target: np.ndarray, bc: str = "face",
     data = np.where(target & ~region.inside, 1.0, 0.0)
     clamp_data = np.where(clamp, 1.0, 0.0)
     rhs = op.boundary_rhs(data, clamp_data)
-    u = LinearSystem(op).solve(rhs, rel_tol)
+    u = LinearSystem(op).solve(rhs)
     values = op.embed(u)
     values[clamp] = 1.0
     meta = {"kind": "harmonic_measure", "bc": bc}

@@ -214,8 +214,8 @@ def green_lrho(mask: DomainMask, rho: float, sources: Sequence,
     return GreenLrho(mask, rho, cells, cols, float(vmax), bool(sign_ok), bc)
 
 
-def dirichlet_lrho(mask: DomainMask, rho: float, f, bc: str = "face",
-                   rel_tol: float = 1e-10) -> GridField:
+def dirichlet_lrho(mask: DomainMask, rho: float, f,
+                   bc: str = "face") -> GridField:
     """Solve L_rho q = 0 in the mask with boundary data f (values at
     outside cells; face traces under bc='face').  Unique whenever rho is
     not a pencil eigenvalue; singularity surfaces as RhoInSpectrum."""
@@ -223,7 +223,7 @@ def dirichlet_lrho(mask: DomainMask, rho: float, f, bc: str = "face",
     op, system = _lrho_system(mask, rho, bc)
     rhs = op.boundary_rhs(data)
     try:
-        u = system.solve(rhs, rel_tol)
+        u = system.solve(rhs)
     except SolverFailure as exc:
         raise RhoInSpectrum(f"Dirichlet solve failed at rho={rho}") from exc
     vals = op.embed(np.real(u) if not np.iscomplexobj(data) else u)

@@ -50,6 +50,11 @@ def _result(cid, name, checks, t0, notes=""):
     return CriterionResult(cid, name, passed, time.monotonic() - t0, lines)
 
 
+def _num(x, spec: str = ".4f") -> str:
+    """x formatted by spec, or 'None' for a missing value."""
+    return "None" if x is None else format(x, spec)
+
+
 def criterion_01_strip_critical_value() -> CriterionResult:
     """rho of the quarter-pi strip: 2.000 within 2% at 128^2 and within
     0.5% at 512^2, each under 60 s."""
@@ -62,7 +67,7 @@ def criterion_01_strip_critical_value() -> CriterionResult:
         dt = time.monotonic() - t1
         err = abs(r - 2.0) / 2.0 if r else np.inf
         checks.append((r is not None and err <= rtol and dt < 60.0,
-                       f"{n}^2: rho={r:.6f} err={err:.2e} ({dt:.1f}s)"))
+                       f"{n}^2: rho={_num(r, '.6f')} err={err:.2e} ({dt:.1f}s)"))
     return _result(1, "strip critical value", checks, t0)
 
 
@@ -116,8 +121,9 @@ def criterion_04_strict_monotonicity() -> CriterionResult:
     inner = build_domain(SPEC, n, n, Strip(-np.pi / 4, np.pi / 4))
     outer = build_domain(SPEC, n, n, Strip(-np.pi / 2, np.pi / 2))
     r1, r2 = rho_min(inner), rho_min(outer)
-    checks = [(abs(r1 - 2) < 0.04 and abs(r2 - 1) < 0.02 and r1 > r2,
-               f"rho(inner)={r1:.4f} > rho(outer)={r2:.4f}")]
+    checks = [(None not in (r1, r2) and abs(r1 - 2) < 0.04
+               and abs(r2 - 1) < 0.02 and r1 > r2,
+               f"rho(inner)={_num(r1)} > rho(outer)={_num(r2)}")]
     rng = np.random.default_rng(0)
     diff_cells = np.argwhere(outer.inside & ~inner.inside)
     for k in range(2):
@@ -132,8 +138,9 @@ def criterion_04_strict_monotonicity() -> CriterionResult:
         shrunk[cell2[0], cell2[1]] = False
         inner2 = mask_from_inside(inner.grid, shrunk, classify=False)
         r1b = rho_min(inner2)
-        checks.append((r1b > r2b and r1b >= r1 - 1e-9 and r2b >= r2 - 1e-9,
-                       f"perturbation {k}: {r1b:.4f} > {r2b:.4f}"))
+        checks.append((None not in (r1, r2, r1b, r2b) and r1b > r2b
+                       and r1b >= r1 - 1e-9 and r2b >= r2 - 1e-9,
+                       f"perturbation {k}: {_num(r1b)} > {_num(r2b)}"))
     return _result(4, "strict monotonicity", checks, t0)
 
 
@@ -328,7 +335,7 @@ def criterion_11_minimality() -> CriterionResult:
     wrho = rep.details.get("witness", {}).get("rho")
     checks = [(rep.verdict == "minimal" and wrho is not None
                and abs(wrho - 2.0) < 0.04,
-               f"v=0: {rep.verdict} via witness rho(M)={wrho:.4f} < 3")]
+               f"v=0: {rep.verdict} via witness rho(M)={_num(wrho)} < 3")]
     one = GridField(grid, np.ones(grid.shape))
     rep2 = minimality_test(one, rho=2.0)
     checks.append((rep2.verdict == "nonminimal", f"v=1: {rep2.verdict}"))
@@ -347,7 +354,7 @@ def criterion_12_symmetry_probe() -> CriterionResult:
     probe = matsaev_probe(mask, box=(-4.5, 4.5, -10.0, 10.0))
     checks.append((probe.details["neg_identity_within_2pct"] is True,
                    f"max negative = -rho(D) within 2% "
-                   f"(rho={probe.details['rho_min']:.4f})"))
+                   f"(rho={_num(probe.details['rho_min'])})"))
     bump = build_domain(
         SPEC, 96, 96,
         Strip(-np.pi / 4, np.pi / 4) | Disc(0.25, 1.0, 0.22))

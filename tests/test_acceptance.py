@@ -19,3 +19,10 @@ def test_criterion(criterion):
             f"({result.runtime:6.1f}s) {result.name}: {result.details}")
     print("\n" + line)
     assert result.passed, line
+
+
+def test_missing_rho_is_a_failure_not_a_crash(monkeypatch):
+    monkeypatch.setattr(verify, "rho_min", lambda mask: None)
+    result = verify.criterion_04_strict_monotonicity()
+    assert result.passed is False
+    assert "None" in result.details

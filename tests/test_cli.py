@@ -100,6 +100,14 @@ def test_fundsol_command(tmp_path):
     E = read_field_csv(os.path.join(tmp, "int", "fundsol_generalized.csv"))
     assert E.values.shape == (48, 48) and np.isfinite(E.values).all()
 
+    # near an integer the Fourier and Weierstrass kernels refuse rho; the
+    # command writes the integer kernel instead and flags the substitution
+    cfg = write(tmp, "near.txt",
+                f"P {LOG2!r}\nnx 48\nny 48\nrho 1.0005\nout {tmp}/near\n")
+    assert main(["fundsol", cfg]) == 4
+    N = read_field_csv(os.path.join(tmp, "near", "fundsol_generalized.csv"))
+    assert np.array_equal(N.values, E.values)
+
 
 def test_lambda_and_subminorant_commands(tmp_path):
     tmp = str(tmp_path)

@@ -11,9 +11,10 @@ from scipy import sparse
 from logtorus.errors import TargetEmpty
 from logtorus.operators import (
     assemble, harmonic_measure, harmonic_measure_field, lift_window,
-    solve_dirichlet,
+    region_of, solve_dirichlet,
 )
-from logtorus.torus import Disc, Grid, Strip, TorusSpec, build_domain
+from logtorus.torus import (Disc, Grid, Strip, TorusSpec, build_domain,
+                            mask_from_inside)
 
 LOG2 = float(np.log(2.0))
 SPEC = TorusSpec(LOG2)
@@ -48,15 +49,80 @@ def test_lrho_symbol_on_pure_y_mode():
     assert err < 2.0 * grid.hy ** 2 * np.max(np.abs(v))
 
 
-def test_matrix_identity_l_equals_k_plus_2rho_b_plus_rho2():
-    mask = build_domain(SPEC, 24, 24, Strip(-1.0, 1.2), classify=False)
-    rho = 0.9
-    for bc in ("face", "outside"):
-        L = assemble(mask, "l_rho", rho=rho, bc=bc).matrix
-        K = assemble(mask, "laplacian", bc=bc).matrix
-        B = assemble(mask, "d_dx", bc=bc).matrix
+def _domains(n):
+    """A full torus grid, a torus mask and a covering window, n x n cells
+    (the grid has one column fewer, so hx != hy)."""
+    grid = Grid(SPEC, n - 1, n)
+    rng = np.random.default_rng(n)
+    mask = mask_from_inside(grid, rng.random(grid.shape) < 0.7,
+                            classify=False)
+    strip = build_domain(SPEC, n, n, Strip(-1.0, 1.2))
+    return {"grid": grid, "mask": mask, "window": lift_window(strip, 0, 0, 1)}
+
+
+@pytest.mark.parametrize("bc", ["face", "outside", "neumann"])
+@pytest.mark.parametrize("where", ["grid", "mask", "window"])
+def test_matrix_identity_l_equals_k_plus_2rho_b_plus_rho2(where, bc):
+    domain = _domains(24)[where]
+    K = assemble(domain, "laplacian", bc=bc).matrix
+    B = assemble(domain, "d_dx", bc=bc).matrix
+    for rho in (0.9, -1.3):
+        L = assemble(domain, "l_rho", rho=rho, bc=bc).matrix
         combo = K + 2 * rho * B + rho * rho * sparse.identity(K.shape[0])
         assert (L - combo).count_nonzero() == 0
+    L0 = assemble(domain, "l_rho", rho=0.0, bc=bc).matrix
+    assert (L0 - K).count_nonzero() == 0
+
+
+def _reference_parts(domain, bc):
+    """K and B with their data couplings (row x flat data cell), by a loop
+    over cells and links that follows the rules of the operators module
+    docstring."""
+    region = region_of(domain)
+    inside, hx, hy = region.inside, region.hx, region.hy
+    ny, nx = inside.shape
+    dof = {cell: k for k, cell in enumerate(zip(*np.nonzero(inside)))}
+    n = len(dof)
+    K, B = np.zeros((n, n)), np.zeros((n, n))
+    K_data, B_data = np.zeros((n, ny * nx)), np.zeros((n, ny * nx))
+    for (j, i), r in dof.items():
+        for dj, di in ((0, 1), (0, -1), (1, 0), (-1, 0)):
+            c_lap = 1.0 / hx ** 2 if di else 1.0 / hy ** 2
+            c_dx = di / (2.0 * hx)
+            jj, ii = j + dj, i + di
+            if region.periodic:
+                jj, ii = jj % ny, ii % nx
+            on_grid = 0 <= jj < ny and 0 <= ii < nx
+            K[r, r] -= c_lap
+            if on_grid and inside[jj, ii]:
+                K[r, dof[jj, ii]] += c_lap
+                B[r, dof[jj, ii]] += c_dx
+            elif bc == "neumann":
+                K[r, r] += c_lap
+            else:
+                if bc == "face":
+                    K[r, r] -= c_lap
+                    B[r, r] -= c_dx
+                if on_grid:
+                    w = 2.0 if bc == "face" else 1.0
+                    K_data[r, jj * nx + ii] += w * c_lap
+                    B_data[r, jj * nx + ii] += w * c_dx
+    return K, B, K_data, B_data
+
+
+@pytest.mark.parametrize("bc", ["face", "outside", "neumann"])
+@pytest.mark.parametrize("where", ["grid", "mask", "window"])
+def test_assembly_matches_per_cell_reference(where, bc):
+    domain = _domains(12)[where]
+    want = _reference_parts(domain, bc)
+    for kind, mat, data in (("laplacian", want[0], want[2]),
+                            ("d_dx", want[1], want[3])):
+        op = assemble(domain, kind, bc=bc)
+        coup = np.zeros_like(data)
+        np.add.at(coup, (op.coup_rows, op.coup_cells), op.coup_vals)
+        for got, ref in ((op.matrix.toarray(), mat), (coup, data)):
+            ulp = np.spacing(np.maximum(np.abs(got), np.abs(ref)))
+            assert np.all(np.abs(got - ref) <= ulp), (kind, bc)
 
 
 def test_adjoint_identity_on_full_torus():
@@ -124,7 +190,6 @@ def test_discrete_maximum_principle_random_masks():
         inside[0, :] = False  # keep complement nonempty
         if not inside.any():
             continue
-        from logtorus.torus import mask_from_inside
         mask = mask_from_inside(grid, inside, classify=False)
         data = rng.random(grid.shape)
         u = solve_dirichlet(mask, data)
