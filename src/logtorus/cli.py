@@ -8,8 +8,9 @@ riesz, subminorant, lambda, minimality, matsaev-probe, verify, plotdata.
 The config file is line-oriented `key value ...`; `shape` points to a
 shape file in the torus_core format (header `torus P nx ny`, one
 primitive per line prefixed +/-).  Outputs are CSV/text files whose
-headers embed the config hash and seed, so a fixed config+seed is
-reproducible bit for bit.  Exit codes: 0 ok, 2 config error, 3 numerical
+headers embed the config hash and the config's `seed`, which only labels
+outputs: no computation reads it, and a fixed config is reproducible bit
+for bit.  Exit codes: 0 ok, 2 config error, 3 numerical
 failure, 4 finished with inconclusive/flagged results.
 """
 
@@ -129,8 +130,7 @@ class Runner:
     def cmd_spectrum(self):
         mask = self.mask()
         res = spectrum(mask, self.box(),
-                       max_count=int(self.cfg.get("max_count", 200)),
-                       seed=self.seed)
+                       max_count=int(self.cfg.get("max_count", 200)))
         if res.meta.get("truncated"):
             self.flags.append("spectrum truncated at max_count")
         spectrum_to_csv(os.path.join(self.out, "spectrum.txt"), res, self.header())
@@ -139,8 +139,8 @@ class Runner:
                 field_to_csv(os.path.join(self.out, f"eigenfunction_{k}.csv"),
                              fld, extra=dict(self.header(),
                                              rho=res.eigenvalues[k]))
-        rep = check_spectrum_symmetries(res, seed=self.seed)
-        lines = [f"eigenvalues {len(res)} rho_min {res.rho_min}",
+        rep = check_spectrum_symmetries(res)
+        lines = [f"eigenvalues {len(res)} rho_min {rho_min(mask)}",
                  f"symmetries_pass {rep.passed}"]
         for k, v in rep.details.items():
             lines.append(f"{k} {v}")
@@ -297,7 +297,7 @@ class Runner:
 
     def cmd_matsaev_probe(self):
         mask = self.mask()
-        rep = matsaev_probe(mask, seed=self.seed)
+        rep = matsaev_probe(mask)
         self.write_report("matsaev_report.txt",
                           [f"{k} {v}" for k, v in rep.details.items()])
 

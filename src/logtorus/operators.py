@@ -109,11 +109,6 @@ class LogWindow:
     def meshgrid(self):
         return np.meshgrid(self.x_centers(), self.y_centers())
 
-    def column_at_x(self, x: float) -> int:
-        """Column index whose left face is nearest to the abscissa x."""
-        c = int(round((x - self.px_lo * self.grid.spec.P) / self.hx))
-        return min(max(c, 0), self.shape[1] - 1)
-
     def cell_of(self, x: float, y: float) -> tuple:
         i = int(np.floor((x - self.px_lo * self.grid.spec.P) / self.hx))
         j = int(np.floor((y + np.pi - self.py_lo * TWO_PI) / self.hy))

@@ -4,14 +4,15 @@ K is the masked Dirichlet Laplacian, B the centered d/dx; eigenvalues
 rho with a nontrivial kernel make up the discrete spectrum of the
 homogeneous boundary problem  L_rho q = 0, q = 0 on the boundary.
 
-spectrum() finds every eigenvalue in a complex box from the companion
+spectrum() finds the eigenpairs in a complex box from the companion
 linearization
 
         A (q, rho*q) = rho (q, rho*q),    A = [[0, I], [-K, -2B]],
 
 solved densely for small interiors and by multi-shift shift-invert
 Arnoldi otherwise.  One application of (A - sigma)^(-1) costs a single
-sparse solve with Q(sigma) = K + 2*sigma*B + sigma^2*I.
+sparse solve with Q(sigma) = K + 2*sigma*B + sigma^2*I.  It returns
+eigenpairs only; the critical value comes from rho_min().
 
 rho_min() finds the critical value rho(D) without the companion.  While
 rho*hx < 1 the off-diagonal entries 1/hx^2 +- rho/hx and 1/hy^2 of
@@ -30,7 +31,6 @@ a value below rho*hx = 1.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -49,6 +49,10 @@ __all__ = [
 ]
 
 DENSE_CUTOFF = 1200
+K_PER_SHIFT = 16        # companion eigenpairs requested per Arnoldi shift
+TOL_RES = 1e-8          # relative residual bound of a certified eigenpair
+SHIFT_RTOL = 0.03       # the 2*pi*i/P shift is an O(h^2) symmetry of the pencil
+MATCH_RTOL = 1e-6       # conjugation, reflection and translation are exact
 
 # rho_min: Perron evaluations stop below rho*hx = RHO_HX_MAX, where the
 # x-couplings 1/hx^2 - rho/hx of A(rho) are still positive
@@ -70,12 +74,12 @@ def erode_periodic(inside: np.ndarray, steps: int = 1) -> np.ndarray:
 
 @dataclass
 class SpectrumResult:
-    """Certified pencil eigenvalues with eigenfunctions and residuals."""
+    """Certified pencil eigenvalues with eigenfunctions and residuals in a
+    search box; the critical value rho(D) is rho_min(), not a field."""
 
     eigenvalues: np.ndarray
     eigenfunctions: list
     residuals: np.ndarray
-    rho_min: Optional[float]
     domain: DomainMask
     meta: dict = field(default_factory=dict)
 
@@ -86,10 +90,9 @@ class SpectrumResult:
 class PencilSystem:
     """Matrices and solvers for the pencil of one mask."""
 
-    def __init__(self, mask: DomainMask, bc: str = "face", seed: int = 0):
+    def __init__(self, mask: DomainMask, bc: str = "face"):
         self.mask = mask
         self.bc = bc
-        self.seed = seed
         self.opK = assemble(mask, "laplacian", bc=bc)
         self.opB = assemble(mask, "d_dx", bc=bc)
         self.K = self.opK.matrix.tocsc()
@@ -114,21 +117,6 @@ class PencilSystem:
             q = np.real(self.normalize(q))
         vals = self.opK.embed(q)
         return GridField(self.mask.grid, vals, {"bc": self.bc})
-
-    def sign_definite(self, q: np.ndarray, tol_core: float = 1e-6,
-                      tol_layer: float = 1e-3) -> bool:
-        """Single sign after peak normalization; a 2-cell boundary layer
-        may dip slightly below zero."""
-        q = self.normalize(q)
-        if np.max(np.abs(q.imag)) > 1e-5:
-            return False
-        v = self.opK.embed(q.real)
-        comp = self.mask.inside
-        core = erode_periodic(comp, 2)
-        if core.any() and v[core].min() < -tol_core:
-            return False
-        layer = comp & ~core
-        return not (layer.any() and v[layer].min() < -tol_layer)
 
     # -- eigenvalue engines --------------------------------------------
     def perron(self, rho: float):
@@ -162,10 +150,11 @@ class PencilSystem:
         vals, vecs = eig(A)
         return vals, vecs[:n, :]
 
-    def eigs_near(self, sigma: complex, k: int = 12):
-        """Eigenpairs of the companion nearest sigma via shift-invert."""
+    def eigs_near(self, sigma: complex):
+        """K_PER_SHIFT eigenpairs of the companion nearest sigma via
+        shift-invert, from a fixed start vector."""
         n = self.n
-        k = min(k, 2 * n - 2)
+        k = min(K_PER_SHIFT, 2 * n - 2)
         Q = (self.K + 2.0 * sigma * self.B
              + sigma * sigma * sparse.identity(n, format="csc"))
         try:
@@ -189,8 +178,7 @@ class PencilSystem:
 
         A_op = LinearOperator((2 * n, 2 * n), matvec=amat, dtype=np.complex128)
         OPinv = LinearOperator((2 * n, 2 * n), matvec=opinv, dtype=np.complex128)
-        rng = np.random.default_rng(self.seed)
-        v0 = rng.standard_normal(2 * n) + 0j
+        v0 = np.random.default_rng(0).standard_normal(2 * n) + 0j
         try:
             vals, vecs = eigs(A_op, k=k, sigma=sigma, OPinv=OPinv, v0=v0,
                               maxiter=3000)
@@ -201,14 +189,13 @@ class PencilSystem:
         return vals, vecs[:n, :]
 
 
-def _collect(system: PencilSystem, raw_vals, raw_vecs, tol_res: float,
-             accepted: dict):
+def _collect(system: PencilSystem, raw_vals, raw_vecs, accepted: dict):
     """Residual-certify and deduplicate eigenpairs into `accepted`."""
     for idx in range(len(raw_vals)):
         rho = complex(raw_vals[idx])
         q = raw_vecs[:, idx]
         res = system.residual(rho, q)
-        if res > tol_res:
+        if res > TOL_RES:
             continue
         key = None
         for existing in accepted:
@@ -240,32 +227,28 @@ def _default_shifts(box, P: float) -> list:
 
 
 def spectrum(mask: DomainMask, search_box, max_count: int = 200,
-             tol_res: float = 1e-8, bc: str = "face", k_per_shift: int = 16,
-             shifts: Optional[Sequence[complex]] = None,
-             seed: int = 0) -> SpectrumResult:
+             bc: str = "face") -> SpectrumResult:
     """All certified pencil eigenvalues in a box (re0, re1, im0, im1).
 
-    Every reported pair satisfies the relative residual bound tol_res;
+    Every reported pair satisfies the relative residual bound TOL_RES;
     if more than max_count survive, the list is truncated by |rho| and
     flagged in meta['truncated'].
     """
     re0, re1, im0, im1 = search_box
-    system = PencilSystem(mask, bc=bc, seed=seed)
+    system = PencilSystem(mask, bc=bc)
     accepted: dict = {}
     if system.n <= DENSE_CUTOFF:
         vals, vecs = system.dense_eigs()
         keep = np.isfinite(vals)
-        _collect(system, vals[keep], vecs[:, keep], tol_res, accepted)
+        _collect(system, vals[keep], vecs[:, keep], accepted)
         mode = "dense"
     else:
-        if shifts is None:
-            shifts = _default_shifts(search_box, mask.grid.spec.P)
-        for sigma in shifts:
+        for sigma in _default_shifts(search_box, mask.grid.spec.P):
             try:
-                vals, vecs = system.eigs_near(sigma, k=k_per_shift)
+                vals, vecs = system.eigs_near(sigma)
             except SolverFailure:
                 continue
-            _collect(system, vals, vecs, tol_res, accepted)
+            _collect(system, vals, vecs, accepted)
         mode = "shift-invert"
 
     inbox = [(r, v) for r, v in accepted.items()
@@ -277,28 +260,14 @@ def spectrum(mask: DomainMask, search_box, max_count: int = 200,
     eigenvalues = np.array([r for r, _ in inbox])
     residuals = np.array([v[0] for _, v in inbox])
     fields = [system.embed_field(system.normalize(v[1])) for _, v in inbox]
-    meta = {"mode": mode, "tol_res": tol_res, "box": tuple(search_box),
+    meta = {"mode": mode, "tol_res": TOL_RES, "box": tuple(search_box),
             "truncated": truncated, "bc": bc}
-    result = SpectrumResult(eigenvalues, fields, residuals, None, mask, meta)
-    result.rho_min = _rho_min_from_result(system, result)
-    return result
+    return SpectrumResult(eigenvalues, fields, residuals, mask, meta)
 
 
 def _tol_real(mask: DomainMask, tol_res: float) -> float:
     h = max(mask.grid.hx, mask.grid.hy)
     return 10.0 * tol_res + 5.0 * h * h
-
-
-def _rho_min_from_result(system: PencilSystem, result: SpectrumResult):
-    tol_re = _tol_real(result.domain, result.meta.get("tol_res", 1e-8))
-    best = None
-    for i, rho in enumerate(result.eigenvalues):
-        if rho.real > tol_re and abs(rho.imag) <= tol_re:
-            q = result.eigenfunctions[i].values[result.domain.inside]
-            if system.sign_definite(q):
-                if best is None or rho.real < best:
-                    best = float(rho.real)
-    return best
 
 
 @dataclass
@@ -309,8 +278,7 @@ class RhoMinResult:
     meta: dict
 
 
-def _component_rho_min(mask: DomainMask, bc: str,
-                       tol_res: float) -> RhoMinResult:
+def _component_rho_min(mask: DomainMask, bc: str) -> RhoMinResult:
     """Least positive root of mu on one component by a safeguarded
     secant in t = rho^2, in which mu is close to linear: an upward
     search for a sign change, then secant steps that fall back to
@@ -365,14 +333,13 @@ def _component_rho_min(mask: DomainMask, bc: str,
         return RhoMinResult(None, None, None, meta)
     rho = float(np.sqrt(t))
     res = system.residual(rho, q)
-    if res > tol_res:
-        meta["note"] = f"residual {res:.2e} > {tol_res:.0e} at rho={rho:.6g}"
+    if res > TOL_RES:
+        meta["note"] = f"residual {res:.2e} > {TOL_RES:.0e} at rho={rho:.6g}"
         return RhoMinResult(None, None, None, meta)
     return RhoMinResult(rho, system.embed_field(q, real=True), res, meta)
 
 
-def rho_min(mask: DomainMask, bc: str = "face", tol_res: float = 1e-8,
-            full_result: bool = False):
+def rho_min(mask: DomainMask, bc: str = "face", full_result: bool = False):
     """Critical value rho(D): the least positive root of the Perron
     eigenvalue mu(rho) of A(rho) = K + 2*rho*B + rho^2*I, searched below
     rho*hx = RHO_HX_MAX; None when no component is connected on spirals
@@ -399,7 +366,7 @@ def rho_min(mask: DomainMask, bc: str = "face", tol_res: float = 1e-8,
             from .torus import classify_spiral
             sc = classify_spiral(part)[0]
         if sc.connected:
-            results.append(_component_rho_min(part, bc, tol_res))
+            results.append(_component_rho_min(part, bc))
     valued = [r for r in results if r.value is not None]
     if valued:
         best = min(valued, key=lambda r: r.value)
@@ -431,26 +398,25 @@ class CheckReport:
     details: dict
 
 
-def check_spectrum_symmetries(result: SpectrumResult, bc: str = "face",
-                              shift_rtol: float = 0.03,
-                              match_rtol: float = 1e-6, seed: int = 0) -> CheckReport:
+def check_spectrum_symmetries(result: SpectrumResult) -> CheckReport:
     """Verify the structural symmetries of the computed spectrum.
 
     (1) no eigenvalue on the imaginary axis, (2) closure under
-    conjugation (to solver tolerance) and under the vertical shift
-    2*pi*i/P (to shift_rtol; the shift is only an O(h^2) symmetry of the
-    discretized pencil), (3) Spec(-D) = -Spec(D) by recomputation on the
-    reflected mask, (4) invariance under whole-cell translation.
+    conjugation (to MATCH_RTOL) and under the vertical shift 2*pi*i/P
+    (to SHIFT_RTOL), (3) Spec(-D) = -Spec(D) by recomputation on the
+    reflected mask, (4) invariance under whole-cell translation.  The
+    recomputations use the boundary condition of the result.
     """
     mask = result.domain
     P = mask.grid.spec.P
     vals = result.eigenvalues
+    bc = result.meta["bc"]
     details: dict = {}
-    tol_re = _tol_real(mask, result.meta.get("tol_res", 1e-8))
+    tol_re = _tol_real(mask, result.meta["tol_res"])
     details["imaginary_axis_violations"] = [
         complex(r) for r in vals if abs(r.real) <= tol_re]
 
-    def match(target, pool, rtol):
+    def match(target, pool):
         if len(pool) == 0:
             return np.inf
         return float(np.min(np.abs(pool - target)) / (1.0 + abs(target)))
@@ -462,7 +428,7 @@ def check_spectrum_symmetries(result: SpectrumResult, bc: str = "face",
                 and im0 + margin <= z.imag <= im1 - margin)
 
     conj_miss = [complex(r) for r in vals
-                 if in_box(np.conj(r)) and match(np.conj(r), vals, 1) > match_rtol]
+                 if in_box(np.conj(r)) and match(np.conj(r), vals) > MATCH_RTOL]
     details["conjugation_misses"] = conj_miss
 
     shift = 2j * np.pi / P
@@ -471,28 +437,25 @@ def check_spectrum_symmetries(result: SpectrumResult, bc: str = "face",
     for r in vals:
         for s in (shift, -shift):
             t = r + s
-            if in_box(t, margin) and match(t, vals, 1) > shift_rtol:
+            if in_box(t, margin) and match(t, vals) > SHIFT_RTOL:
                 shift_miss.append((complex(r), complex(t)))
     details["shift_misses"] = shift_miss
 
     neg_box = (-re1, -re0, -im1, -im0)
-    reflected = spectrum(reflect_mask(mask), neg_box,
-                         tol_res=result.meta.get("tol_res", 1e-8), bc=bc, seed=seed)
+    reflected = spectrum(reflect_mask(mask), neg_box, bc=bc)
     refl_miss = []
     for r in vals:
         t = -r
         # -Spec(D) should appear in Spec(D_-); exact discrete symmetry
-        if match(t, reflected.eigenvalues, 1) > match_rtol:
+        if match(t, reflected.eigenvalues) > MATCH_RTOL:
             refl_miss.append(complex(r))
     details["reflection_misses"] = refl_miss
 
     from .torus import translate_mask
     shifted_mask = translate_mask(mask, 3, 5)
-    translated = spectrum(shifted_mask, result.meta["box"],
-                          tol_res=result.meta.get("tol_res", 1e-8), bc=bc,
-                          seed=seed)
+    translated = spectrum(shifted_mask, result.meta["box"], bc=bc)
     trans_miss = [complex(r) for r in vals
-                  if match(r, translated.eigenvalues, 1) > match_rtol]
+                  if match(r, translated.eigenvalues) > MATCH_RTOL]
     details["translation_misses"] = trans_miss
 
     passed = (not details["imaginary_axis_violations"] and not conj_miss
@@ -553,8 +516,7 @@ def check_shrinking_limit(masks: Sequence[DomainMask], mask_limit: DomainMask,
         {"rho_sequence": values, "rho_limit": r_lim, "sup_diffs": sup_diffs})
 
 
-def matsaev_probe(mask: DomainMask, box=None, bc: str = "face",
-                  tol_res: float = 1e-8, seed: int = 0) -> CheckReport:
+def matsaev_probe(mask: DomainMask, box=None, bc: str = "face") -> CheckReport:
     """Exploratory comparison of Spec(D) and Spec(-D) plus the identity
     'largest negative spectrum point = -rho(D)'.
 
@@ -566,8 +528,9 @@ def matsaev_probe(mask: DomainMask, box=None, bc: str = "face",
     if box is None:
         hi = 3.0 * (rmin or 3.0)
         box = (-hi, hi, -1.2 * TWO_PI / P, 1.2 * TWO_PI / P)
-    spec_d = spectrum(mask, box, tol_res=tol_res, bc=bc, seed=seed)
-    spec_r = spectrum(reflect_mask(mask), box, tol_res=tol_res, bc=bc, seed=seed)
+    reflected = reflect_mask(mask)
+    spec_d = spectrum(mask, box, bc=bc)
+    spec_r = spectrum(reflected, box, bc=bc)
 
     a, b = spec_d.eigenvalues, spec_r.eigenvalues
     if len(a) and len(b):
@@ -578,10 +541,9 @@ def matsaev_probe(mask: DomainMask, box=None, bc: str = "face",
 
     # Prop-6.7-style identity via the exact reflection symmetry:
     # largest negative point of Spec(D) equals -rho_min(reflect(D))
-    rmin_r = spec_r.rho_min if spec_r.rho_min is not None else \
-        rho_min(reflect_mask(mask), bc=bc)
+    rmin_r = rho_min(reflected, bc=bc)
     neg = [r.real for r in spec_d.eigenvalues
-           if r.real < 0 and abs(r.imag) <= _tol_real(mask, tol_res)]
+           if r.real < 0 and abs(r.imag) <= _tol_real(mask, TOL_RES)]
     max_negative = max(neg) if neg else None
     identity_ok = None
     if max_negative is not None and rmin is not None:

@@ -117,15 +117,6 @@ class GridField:
             raise ConfigError(
                 f"field shape {self.values.shape} != grid shape {self.grid.shape}")
 
-    @classmethod
-    def zeros(cls, grid: Grid, dtype=float) -> "GridField":
-        return cls(grid, np.zeros(grid.shape, dtype=dtype))
-
-    @classmethod
-    def from_function(cls, grid: Grid, fn) -> "GridField":
-        X, Y = grid.meshgrid()
-        return cls(grid, np.asarray(fn(X, Y)))
-
     def copy(self) -> "GridField":
         return GridField(self.grid, self.values.copy(), dict(self.meta))
 
@@ -371,11 +362,12 @@ class DomainMask:
         return self.spiral[c]
 
 
-def _label_periodic(inside: np.ndarray) -> tuple:
-    """4-connected component labels with wrap-around in both directions."""
-    labels, n = ndimage.label(inside)
-    if n == 0:
-        return labels - 1, 0
+def _seam_roots(n: int, *seams) -> np.ndarray:
+    """Class root of every label 0..n once the labels that face each
+    other across each seam are joined.  A seam is a pair (a, b) of label
+    lines that meet when the grid wraps; a pair joins only where both
+    labels are inside (> 0).  A root is the least label of its class, so
+    label 0 stays 0."""
     parent = list(range(n + 1))
 
     def find(a):
@@ -384,27 +376,23 @@ def _label_periodic(inside: np.ndarray) -> tuple:
             a = parent[a]
         return a
 
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
+    for a_line, b_line in seams:
+        both = (a_line > 0) & (b_line > 0)
+        for a, b in zip(a_line[both], b_line[both]):
+            ra, rb = find(int(a)), find(int(b))
+            if ra != rb:
+                parent[max(ra, rb)] = min(ra, rb)
+    return np.array([find(a) for a in range(n + 1)])
 
-    left, right = labels[:, 0], labels[:, -1]
-    for a, b in zip(left[(left > 0) & (right > 0)], right[(left > 0) & (right > 0)]):
-        union(int(a), int(b))
-    top, bot = labels[0, :], labels[-1, :]
-    for a, b in zip(top[(top > 0) & (bot > 0)], bot[(top > 0) & (bot > 0)]):
-        union(int(a), int(b))
 
-    roots = {}
-    remap = np.zeros(n + 1, dtype=np.int64)
-    for lab in range(1, n + 1):
-        r = find(lab)
-        if r not in roots:
-            roots[r] = len(roots)
-        remap[lab] = roots[r]
-    out = np.where(inside, remap[labels], -1)
-    return out, len(roots)
+def _label_periodic(inside: np.ndarray) -> tuple:
+    """4-connected component labels with wrap-around in both directions."""
+    labels, n = ndimage.label(inside)
+    roots = _seam_roots(n, (labels[:, 0], labels[:, -1]),
+                        (labels[0, :], labels[-1, :]))
+    # number the classes by their least label; root 0 (outside) gives -1
+    uniq, remap = np.unique(roots, return_inverse=True)
+    return remap[labels] - 1, len(uniq) - 1
 
 
 def mask_from_inside(grid: Grid, inside: np.ndarray,
@@ -462,23 +450,8 @@ def _tiled_classify(comp: np.ndarray, wp: int):
     ny, nx = comp.shape
     tiled = np.tile(comp, (1, wp + 1))
     labels, n = ndimage.label(tiled)
-    if n:
-        # restore y-periodicity of the quotient
-        parent = list(range(n + 1))
-
-        def find(a):
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
-
-        top, bot = labels[0, :], labels[-1, :]
-        for a, b in zip(top[(top > 0) & (bot > 0)], bot[(top > 0) & (bot > 0)]):
-            ra, rb = find(int(a)), find(int(b))
-            if ra != rb:
-                parent[max(ra, rb)] = min(ra, rb)
-        flat = np.array([find(a) for a in range(n + 1)])
-        labels = flat[labels]
+    # restore y-periodicity of the quotient
+    labels = _seam_roots(n, (labels[0, :], labels[-1, :]))[labels]
 
     base = labels[:, :nx]
     k_best, witness = None, None

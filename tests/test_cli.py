@@ -7,7 +7,9 @@ import numpy as np
 
 from logtorus.cli import main
 from logtorus.fieldio import field_to_csv, read_field_csv
-from logtorus.torus import Grid, GridField, TorusSpec
+from logtorus.pencil import rho_min
+from logtorus.torus import (Grid, GridField, TorusSpec, build_domain,
+                            parse_shape_lines)
 
 LOG2 = float(np.log(2.0))
 
@@ -55,6 +57,42 @@ def test_spectrum_and_green_commands(tmp_path):
     assert main(["green", cfg]) == 0
     g = read_field_csv(os.path.join(tmp, "out", "green_0.csv"))
     assert g.values.max() <= 1e-12
+
+
+def shape_mask():
+    return build_domain(*parse_shape_lines(SHAPE.splitlines()))
+
+
+def test_spectrum_report_reads_rho_min_and_seed_only_labels(tmp_path):
+    tmp = str(tmp_path)
+    shp = write(tmp, "shape.txt", SHAPE)
+    rows = []
+    for seed in (0, 3):
+        cfg = write(tmp, f"cfg{seed}.txt",
+                    f"shape {shp}\nrho_box 0.5,4.5,-1,1\nseed {seed}\n"
+                    f"out {tmp}/o{seed}\n")
+        assert main(["spectrum", cfg]) == 0
+        text = open(os.path.join(tmp, f"o{seed}", "spectrum.txt")).read()
+        assert f"seed {seed}" in text
+        rows.append([l for l in text.splitlines() if not l.startswith("#")])
+    assert rows[0] and rows[0] == rows[1]
+    report = open(os.path.join(tmp, "o0", "symmetry_report.txt")).read()
+    line = next(l for l in report.splitlines() if l.startswith("eigenvalues"))
+    assert float(line.split("rho_min")[1]) == rho_min(shape_mask())
+
+
+def test_matsaev_probe_command(tmp_path):
+    tmp = str(tmp_path)
+    shp = write(tmp, "shape.txt", SHAPE)
+    cfg = write(tmp, "cfg.txt", f"shape {shp}\nout {tmp}/out\n")
+    assert main(["matsaev-probe", cfg]) == 0
+    text = open(os.path.join(tmp, "out", "matsaev_report.txt")).read()
+    rep = dict(l.split(" ", 1) for l in text.splitlines()
+               if not l.startswith("#"))
+    # the strip is its own reflection: both values come from one route
+    assert rep["rho_min_reflected"] == rep["rho_min"]
+    assert float(rep["rho_min"]) == rho_min(shape_mask())
+    assert rep["neg_identity_within_2pct"] == "True"
 
 
 def test_dirichlet_sweep_riesz_roundtrip(tmp_path):

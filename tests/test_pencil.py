@@ -12,8 +12,9 @@ import numpy as np
 import pytest
 
 from logtorus.pencil import (
-    DENSE_CUTOFF, check_monotonicity, check_shrinking_limit,
-    check_spectrum_symmetries, matsaev_probe, rho_min, spectrum,
+    DENSE_CUTOFF, PencilSystem, _tol_real, check_monotonicity,
+    check_shrinking_limit, check_spectrum_symmetries, erode_periodic,
+    matsaev_probe, rho_min, spectrum,
 )
 from logtorus.torus import (
     Band, Disc, Grid, Strip, TorusSpec, Tube, build_domain, mask_from_inside,
@@ -83,6 +84,16 @@ def test_spectrum_symmetries_on_strip():
     res = spectrum(mask, (0.5, 4.5, -10.0, 10.0))
     report = check_spectrum_symmetries(res)
     assert report.passed, report.details
+
+
+def test_spectrum_symmetries_recompute_with_the_result_bc():
+    # reflected and translated spectra must use bc='outside' as well; a
+    # 'face' recomputation misses 6 reflections and 6 translations here
+    mask = build_domain(SPEC, 32, 32, Strip(-0.8, 0.8))
+    res = spectrum(mask, (0.5, 4.5, -10.0, 10.0), bc="outside")
+    details = check_spectrum_symmetries(res).details
+    assert details["reflection_misses"] == []
+    assert details["translation_misses"] == []
 
 
 def test_translation_leaves_spectrum_identical():
@@ -202,16 +213,44 @@ SMALL_DOMAINS = {
 }
 
 
+def dense_companion_rho_min(mask):
+    """Least real positive eigenvalue of the dense 2n x 2n companion whose
+    residual-certified eigenvector has a single sign after peak
+    normalization; a 2-cell boundary layer may dip slightly below zero."""
+    tol_res, tol_core, tol_layer = 1e-8, 1e-6, 1e-3
+    system = PencilSystem(mask)
+    vals, vecs = system.dense_eigs()
+    tol_re = _tol_real(mask, tol_res)
+    core = erode_periodic(mask.inside, 2)
+    layer = mask.inside & ~core
+    best = None
+    for rho, q in zip(vals, vecs.T):
+        if not (np.isfinite(rho) and rho.real > tol_re
+                and abs(rho.imag) <= tol_re):
+            continue
+        if system.residual(rho, q) > tol_res:
+            continue
+        q = system.normalize(q)
+        if np.max(np.abs(q.imag)) > 1e-5:
+            continue
+        v = system.opK.embed(q.real)
+        if (core.any() and v[core].min() < -tol_core) or \
+                (layer.any() and v[layer].min() < -tol_layer):
+            continue
+        if best is None or rho.real < best:
+            best = float(rho.real)
+    return best
+
+
 @pytest.mark.parametrize("name", SMALL_DOMAINS)
 def test_rho_min_agrees_with_dense_companion(name):
-    # the dense 2n x 2n companion plus the sign filter of spectrum() is
-    # an independent route to the least certified positive eigenvalue
+    # the dense 2n x 2n companion plus a sign filter is an independent
+    # route to the least certified positive eigenvalue
     mask = SMALL_DOMAINS[name]()
     assert mask.n_inside <= DENSE_CUTOFF
-    ref = spectrum(mask, (0.0, 20.0, -1.0, 1.0))
-    assert ref.meta["mode"] == "dense"
+    ref = dense_companion_rho_min(mask)
     r = rho_min(mask, full_result=True)
-    assert r.value == pytest.approx(ref.rho_min, rel=1e-9)
+    assert r.value == pytest.approx(ref, rel=1e-9)
     q = r.eigenfunction.values[mask.inside].real
     assert q.min() >= -1e-8
     assert q.max() == pytest.approx(1.0, abs=1e-12)
