@@ -160,8 +160,7 @@ class Runner:
         self.write_report("rho_report.txt", lines)
         if self.cfg.get("export_martin"):
             from .fieldio import window_field_to_csv
-            from .martin import martin_function
-            H = martin_function(mask, component, z0=self.z0(), n=n_martin)
+            H = ests[0].meta["martin"]      # the growth estimate comes first
             if not H.converged:
                 self.flags.append("martin window not converged at 2%")
             window_field_to_csv(os.path.join(self.out, "martin.csv"),

@@ -20,6 +20,12 @@ ways and cross-checked against the pencil's least eigenvalue:
 
 All five agree on sector lifts; their mutual consistency at 5 percent is
 the headline acceptance property of this module.
+
+Three private routines do all window work: _lift makes every window and
+its base cell, _crosscut_measure is the one harmonic-measure solve (Martin
+windows, hm_decay prefixes, beta_functional) and _quad_modulus the one
+quad solve (modulus, extremal).  hm_decay windows start LEFT_PERIODS
+periods left of x = 0; every slope fit must reach R^2 >= R2_MIN.
 """
 
 from __future__ import annotations
@@ -41,6 +47,9 @@ __all__ = [
     "beta_functional", "rho_estimates", "consistency_table",
 ]
 
+LEFT_PERIODS = 4
+R2_MIN = 0.99
+
 
 @dataclass
 class MartinApprox:
@@ -61,7 +70,9 @@ class RhoEstimate:
     meta: dict = field(default_factory=dict)
 
 
-def _slope_fit(xs, ys):
+def _slope_fit(xs, ys, what: str):
+    """Least-squares slope, R^2 and a 2-sigma interval; raises
+    FitUnstable below R2_MIN."""
     xs = np.asarray(xs, float)
     ys = np.asarray(ys, float)
     A = np.vstack([xs, np.ones_like(xs)]).T
@@ -74,7 +85,9 @@ def _slope_fit(xs, ys):
     sigma2 = ss_res / dof
     sx = float(np.sum((xs - xs.mean()) ** 2))
     ci = 2.0 * np.sqrt(sigma2 / sx) if sx > 0 else np.inf
-    return float(coef[0]), float(coef[1]), r2, ci
+    if r2 < R2_MIN:
+        raise FitUnstable(f"{what} fit R^2 = {r2:.4f} < {R2_MIN}")
+    return float(coef[0]), r2, ci
 
 
 def _arc_runs(col_inside: np.ndarray):
@@ -99,25 +112,36 @@ def _far_target(window: LogWindow, col: int) -> np.ndarray:
     return target
 
 
-def _sub_window(window: LogWindow, px_hi: int) -> LogWindow:
-    ncols = (px_hi - window.px_lo) * window.grid.nx
-    return LogWindow(window.grid, window.px_lo, px_hi, window.py_lo,
-                     window.py_hi, window.inside[:, :ncols].copy())
+def _lift(mask: DomainMask, component: int, px_lo: int, px_hi: int,
+          m_periods: int, z0: Optional[tuple], column: Optional[int] = None):
+    """Lift a component to the window of periods [px_lo, px_hi] in x and
+    m_periods about y = 0 in y, and find its base cell: the cell of z0, or
+    else the inside cell nearest the middle row at `column` (by default
+    the middle column, which gives lift_window's own anchor)."""
+    py_lo = -(m_periods // 2)
+    win = lift_window(mask, component, px_lo, px_hi, py_lo, py_lo + m_periods,
+                      anchor=z0)
+    if z0 is not None:
+        return win, win.cell_of(*z0)
+    centre = [win.shape[0] / 2.0,
+              win.shape[1] / 2.0 if column is None else column]
+    cand = np.argwhere(win.inside)
+    return win, tuple(cand[np.argmin(((cand - centre) ** 2).sum(axis=1))])
 
 
-def _measure_ratio_field(window: LogWindow, z0_cell: tuple, bc: str):
-    target = _far_target(window, window.shape[1] - 1)
-    om = harmonic_measure_field(window, target, bc=bc)
-    j0, i0 = z0_cell
-    w0 = om.values[j0, i0]
-    if w0 <= 0:
-        raise ConfigError("base point has vanishing harmonic measure")
-    return om.values / w0, om.values
+def _crosscut_measure(window: LogWindow, ncols: int) -> np.ndarray:
+    """Harmonic measure of the far crosscut (the target at the last
+    column) on the window cut to its first ncols columns."""
+    sub = LogWindow(window.grid, window.px_lo,
+                    window.px_lo + ncols // window.grid.nx, window.py_lo,
+                    window.py_hi, window.inside[:, :ncols].copy())
+    target = _far_target(sub, sub.shape[1] - 1)
+    return harmonic_measure_field(sub, target).values
 
 
 def martin_function(mask: DomainMask, component: int = 0,
                     z0: Optional[tuple] = None, n: int = 6,
-                    m_periods: int = 1, bc: str = "face") -> MartinApprox:
+                    m_periods: int = 1) -> MartinApprox:
     """Ratio-of-harmonic-measures approximation of the minimal positive
     harmonic function of the lift, normalized to 1 at z0 (by default the
     inside cell nearest the window center).
@@ -128,22 +152,17 @@ def martin_function(mask: DomainMask, component: int = 0,
     """
     if n < 3:
         raise ConfigError("need n >= 3 periods")
-    py_lo = -(m_periods // 2)
-    py_hi = py_lo + m_periods
-    win = lift_window(mask, component, -n, n, py_lo, py_hi, anchor=z0)
-    if z0 is not None:
-        z0_cell = win.cell_of(*z0)
-    else:
-        cand = np.argwhere(win.inside)
-        jc, ic = win.shape[0] / 2.0, win.shape[1] / 2.0
-        z0_cell = tuple(cand[np.argmin(((cand - [jc, ic]) ** 2).sum(axis=1))])
-    H, om = _measure_ratio_field(win, z0_cell, bc)
-
-    small = lift_window(mask, component, -(n - 1), n - 1, py_lo, py_hi,
-                        anchor=z0)
+    win, z0_cell = _lift(mask, component, -n, n, m_periods, z0)
+    small, _ = _lift(mask, component, -(n - 1), n - 1, m_periods, z0)
     off = win.grid.nx
     z0s = (z0_cell[0], z0_cell[1] - off)
-    Hs, _ = _measure_ratio_field(small, z0s, bc)
+    om = _crosscut_measure(win, win.shape[1])
+    om_s = _crosscut_measure(small, small.shape[1])
+    if om[z0_cell] <= 0 or om_s[z0s] <= 0:
+        raise ConfigError("base point has vanishing harmonic measure")
+    H = om / om[z0_cell]
+    Hs = om_s / om_s[z0s]
+
     ncols_s = small.shape[1]
     mid = np.zeros(small.shape, dtype=bool)
     mid[:, ncols_s // 3: 2 * ncols_s // 3] = True
@@ -154,23 +173,20 @@ def martin_function(mask: DomainMask, component: int = 0,
 
     vals = np.where(win.inside, H, 0.0)
     return MartinApprox(win, vals, z0_cell, n, converged,
-                        {"bc": bc, "max_rel_change": float(np.max(rel)),
-                         "omega_at_z0": float(om[z0_cell[0], z0_cell[1]])})
+                        {"bc": "face", "max_rel_change": float(np.max(rel)),
+                         "omega_at_z0": float(om[z0_cell])})
 
 
-def rho_from_growth(H: MartinApprox, r2_min: float = 0.99) -> RhoEstimate:
+def rho_from_growth(H: MartinApprox) -> RhoEstimate:
     """Least-squares slope of log max(H) over period slices, fitted on
-    the middle half of the window."""
+    the middle half of the window.  meta['martin'] is H itself."""
     win = H.window
     nx = win.grid.nx
     P = win.grid.spec.P
     n = H.n_used
-    js = [j for j in range(-n, n + 1)]
     xs, ys = [], []
-    for j in js:
-        col = (j + n) * nx
-        if col >= H.values.shape[1]:
-            col = H.values.shape[1] - 1
+    for j in range(-n, n + 1):
+        col = min((j + n) * nx, H.values.shape[1] - 1)
         colmask = win.inside[:, col]
         if not colmask.any():
             continue
@@ -181,38 +197,25 @@ def rho_from_growth(H: MartinApprox, r2_min: float = 0.99) -> RhoEstimate:
     k = len(xs)
     xs, ys = np.array(xs), np.array(ys)
     lo, hi = k // 4, k - k // 4
-    slope, _, r2, ci = _slope_fit(xs[lo:hi], ys[lo:hi])
-    if r2 < r2_min:
-        raise FitUnstable(f"growth fit R^2 = {r2:.4f} < {r2_min}")
+    slope, r2, ci = _slope_fit(xs[lo:hi], ys[lo:hi], "growth")
     return RhoEstimate("growth", slope, ci, (int(xs[lo] / P), int(xs[hi - 1] / P)),
-                       {"r2": r2, "converged_window": H.converged})
+                       {"r2": r2, "converged_window": H.converged, "martin": H})
 
 
 def rho_from_hm_decay(mask: DomainMask, component: int = 0,
                       z0: Optional[tuple] = None, n_min: int = 3,
-                      n_max: int = 8, left: int = 4, bc: str = "face",
-                      m_periods: int = 1, r2_min: float = 0.99) -> RhoEstimate:
+                      n_max: int = 8, m_periods: int = 1) -> RhoEstimate:
     """Slope of -log omega(z0, crosscut at n periods) against n*P, with
     the two-sided band check omega * e^{rho n P} confined to a fixed
-    ratio band."""
-    py_lo = -(m_periods // 2)
-    py_hi = py_lo + m_periods
-    win_full = lift_window(mask, component, -left, n_max, py_lo, py_hi,
-                           anchor=z0)
-    if z0 is not None:
-        z0_cell = win_full.cell_of(*z0)
-    else:
-        cand = np.argwhere(win_full.inside[:, :win_full.grid.nx * left])
-        jc = win_full.shape[0] / 2.0
-        ic = left * win_full.grid.nx - win_full.grid.nx // 2
-        z0_cell = tuple(cand[np.argmin(((cand - [jc, ic]) ** 2).sum(axis=1))])
+    ratio band.  The crosscut windows span [-LEFT_PERIODS, n] periods;
+    the default z0 is the middle of period [-1, 0]."""
+    nx = mask.grid.nx
+    win, z0_cell = _lift(mask, component, -LEFT_PERIODS, n_max, m_periods, z0,
+                         column=LEFT_PERIODS * nx - nx // 2)
     P = mask.grid.spec.P
     ns, omegas = [], []
     for nn in range(n_min, n_max + 1):
-        sub = _sub_window(win_full, nn)
-        target = _far_target(sub, sub.shape[1] - 1)
-        om = harmonic_measure_field(sub, target, bc=bc)
-        w = float(om.values[z0_cell[0], z0_cell[1]])
+        w = float(_crosscut_measure(win, (nn + LEFT_PERIODS) * nx)[z0_cell])
         if w < 1e-300:
             break
         ns.append(nn)
@@ -223,9 +226,7 @@ def rho_from_hm_decay(mask: DomainMask, component: int = 0,
     ys = -np.log(np.array(omegas))
     k = len(xs)
     lo, hi = k // 4, k - k // 4
-    slope, _, r2, ci = _slope_fit(xs[lo:hi], ys[lo:hi])
-    if r2 < r2_min:
-        raise FitUnstable(f"decay fit R^2 = {r2:.4f} < {r2_min}")
+    slope, r2, ci = _slope_fit(xs[lo:hi], ys[lo:hi], "decay")
     band = np.array(omegas) * np.exp(slope * xs)
     band_ratio = float(band.max() / band.min())
     return RhoEstimate("hm_decay", slope, ci, (ns[lo], ns[hi - 1]),
@@ -237,7 +238,9 @@ def _quad_modulus(window: LogWindow, col0: int, col1: int) -> float:
     """Conformal modulus of the quadrilateral between two crosscut
     columns by the Dirichlet-energy method: potential 0 / 1 on the
     crosscuts, insulated sides; modulus = 1/energy.  The P x W rectangle
-    yields exactly P/W under this convention."""
+    yields exactly P/W under this convention.  When the columns cut the
+    window into pieces, the largest piece is the quadrilateral, provided
+    it holds at least half of the cells."""
     inside = window.inside.copy()
     inside[:, :col0] = False
     inside[:, col1 + 1:] = False
@@ -246,10 +249,10 @@ def _quad_modulus(window: LogWindow, col0: int, col1: int) -> float:
     from scipy import ndimage
     lab, ncomp = ndimage.label(inside)
     if ncomp != 1:
-        keep = lab == lab[np.argwhere(inside)[0][0], np.argwhere(inside)[0][1]]
-        if keep.sum() < 0.5 * inside.sum():
+        sizes = np.bincount(lab.ravel())[1:]
+        if sizes.max() < 0.5 * sizes.sum():
             raise NotSimplyConnected("quadrilateral splits into pieces")
-        inside = keep
+        inside = lab == 1 + np.argmax(sizes)
     quad = LogWindow(window.grid, window.px_lo, window.px_hi,
                      window.py_lo, window.py_hi, inside)
     clamp = np.zeros(inside.shape, dtype=bool)
@@ -263,11 +266,10 @@ def _quad_modulus(window: LogWindow, col0: int, col1: int) -> float:
     vals = op.embed(u)
     vals[clamp & (data > 0)] = 1.0
     hx, hy = window.hx, window.hy
-    counted = inside
     dx = vals[:, 1:] - vals[:, :-1]
-    mx = counted[:, 1:] & counted[:, :-1]
+    mx = inside[:, 1:] & inside[:, :-1]
     dy = vals[1:, :] - vals[:-1, :]
-    my = counted[1:, :] & counted[:-1, :]
+    my = inside[1:, :] & inside[:-1, :]
     energy = float((dx[mx] ** 2).sum() * hy / hx + (dy[my] ** 2).sum() * hx / hy)
     if energy <= 0:
         raise NotSimplyConnected("degenerate quadrilateral energy")
@@ -275,20 +277,18 @@ def _quad_modulus(window: LogWindow, col0: int, col1: int) -> float:
 
 
 def rho_from_modulus(mask: DomainMask, component: int = 0,
-                     m_periods: int = 1, anchor: Optional[tuple] = None) -> RhoEstimate:
+                     m_periods: int = 1, z0: Optional[tuple] = None) -> RhoEstimate:
     """(pi/P) times the conformal modulus of the one-period quadrilateral
-    between the crosscut at x=0 and its translate at x=P.
+    between the crosscut at x=0 and its translate at x=P, on the piece of
+    the lift through z0.
 
     Requires the lift to meet the x=0 slice in a single arc (separating
     circle); more arcs raise NotSeparating."""
-    py_lo = -(m_periods // 2)
-    py_hi = py_lo + m_periods
-    win = lift_window(mask, component, 0, 2, py_lo, py_hi, anchor=anchor)
-    nx = mask.grid.nx
+    win, _ = _lift(mask, component, 0, 2, m_periods, z0)
     runs0 = _arc_runs(win.inside[:, 0])
     if len(runs0) != 1:
         raise NotSeparating(f"{len(runs0)} arcs on the x=0 slice")
-    mod = _quad_modulus(win, 0, nx)
+    mod = _quad_modulus(win, 0, mask.grid.nx)
     P = mask.grid.spec.P
     return RhoEstimate("modulus", float(np.pi / P * mod), 0.0, (0, 1),
                        {"modulus": mod})
@@ -296,21 +296,13 @@ def rho_from_modulus(mask: DomainMask, component: int = 0,
 
 def rho_from_extremal(mask: DomainMask, component: int = 0,
                       n_list: Sequence[int] = (2, 3, 4, 5),
-                      m_periods: int = 1, anchor: Optional[tuple] = None,
-                      r2_min: float = 0.99) -> RhoEstimate:
+                      m_periods: int = 1, z0: Optional[tuple] = None) -> RhoEstimate:
     """Extremal distance route: d(I_0, I_n) is the modulus of the
     n-period quadrilateral; rho = (pi/P) * lim d/n, from a slope fit."""
-    py_lo = -(m_periods // 2)
-    py_hi = py_lo + m_periods
-    top = max(n_list)
-    win = lift_window(mask, component, 0, top + 1, py_lo, py_hi, anchor=anchor)
-    nx = mask.grid.nx
-    ds = []
-    for nn in n_list:
-        ds.append(_quad_modulus(win, 0, nn * nx))
-    slope, _, r2, ci = _slope_fit(np.array(n_list, float), np.array(ds))
-    if r2 < r2_min:
-        raise FitUnstable(f"extremal fit R^2 = {r2:.4f} < {r2_min}")
+    win, _ = _lift(mask, component, 0, max(n_list) + 1, m_periods, z0)
+    ds = [_quad_modulus(win, 0, nn * mask.grid.nx) for nn in n_list]
+    slope, r2, ci = _slope_fit(np.array(n_list, float), np.array(ds),
+                               "extremal")
     P = mask.grid.spec.P
     return RhoEstimate("extremal", float(np.pi / P * slope),
                        float(np.pi / P * ci), (min(n_list), max(n_list)),
@@ -318,22 +310,19 @@ def rho_from_extremal(mask: DomainMask, component: int = 0,
 
 
 def beta_functional(window: LogWindow, values: np.ndarray, z0: tuple,
-                    n_range: Sequence[int], bc: str = "face") -> dict:
+                    n_range: Sequence[int]) -> dict:
     """Growth-against-measure functional: for each n in range,
     (max of the field on the n-period crosscut) * omega(z0, crosscut);
     flagged diverging when it climbs by more than 10x across the range.
     Bounded sequences indicate minimal growth; channel-limit functions
     diverge."""
-    nx = window.grid.nx
     z0_cell = window.cell_of(*z0)
     seq = []
     for nn in n_range:
-        sub = _sub_window(window, nn)
-        col = sub.shape[1] - 1
-        target = _far_target(sub, col)
-        om = harmonic_measure_field(sub, target, bc=bc)
-        w = float(om.values[z0_cell[0], z0_cell[1]])
-        m = float(values[:, col][sub.inside[:, col]].max())
+        om = _crosscut_measure(window, (nn - window.px_lo) * window.grid.nx)
+        col = om.shape[1] - 1
+        w = float(om[z0_cell])
+        m = float(values[:, col][window.inside[:, col]].max())
         seq.append(m * w)
     seq = np.array(seq)
     diverging = bool(seq[-1] > 10.0 * max(seq[0], 1e-300))
@@ -344,21 +333,21 @@ def beta_functional(window: LogWindow, values: np.ndarray, z0: tuple,
 def rho_estimates(mask: DomainMask, component: int = 0,
                   z0: Optional[tuple] = None, n_martin: int = 6,
                   n_decay: tuple = (3, 8), extremal_ns: Sequence[int] = (2, 3, 4, 5),
-                  bc: str = "face", m_periods: int = 1,
-                  include_pencil: bool = True) -> list:
-    """All growth estimators for one component, plus the pencil value."""
-    out = []
+                  m_periods: int = 1, include_pencil: bool = True) -> list:
+    """All growth estimators for one component, plus the pencil value.
+    The growth estimate comes first and carries the Martin function in
+    meta['martin']."""
     H = martin_function(mask, component, z0=z0, n=n_martin,
-                        m_periods=m_periods, bc=bc)
-    out.append(rho_from_growth(H))
-    out.append(rho_from_hm_decay(mask, component, z0=z0, n_min=n_decay[0],
-                                 n_max=n_decay[1], bc=bc, m_periods=m_periods))
-    out.append(rho_from_modulus(mask, component, m_periods=m_periods, anchor=z0))
-    out.append(rho_from_extremal(mask, component, n_list=extremal_ns,
-                                 m_periods=m_periods, anchor=z0))
+                        m_periods=m_periods)
+    out = [rho_from_growth(H),
+           rho_from_hm_decay(mask, component, z0=z0, n_min=n_decay[0],
+                             n_max=n_decay[1], m_periods=m_periods),
+           rho_from_modulus(mask, component, m_periods=m_periods, z0=z0),
+           rho_from_extremal(mask, component, n_list=extremal_ns,
+                             m_periods=m_periods, z0=z0)]
     if include_pencil:
         from .pencil import rho_min
-        r = rho_min(mask, bc=bc)
+        r = rho_min(mask)
         if r is not None:
             out.append(RhoEstimate("pencil", r, 0.0, (0, 0), {}))
     return out

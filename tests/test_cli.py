@@ -5,6 +5,7 @@ import os
 
 import numpy as np
 
+from logtorus import operators
 from logtorus.cli import main
 from logtorus.fieldio import field_to_csv, read_field_csv
 from logtorus.pencil import rho_min
@@ -93,6 +94,34 @@ def test_matsaev_probe_command(tmp_path):
     assert rep["rho_min_reflected"] == rep["rho_min"]
     assert float(rep["rho_min"]) == rho_min(shape_mask())
     assert rep["neg_identity_within_2pct"] == "True"
+
+
+def test_rho_command_exports_the_estimators_martin_window(tmp_path, monkeypatch):
+    tmp = str(tmp_path)
+    shp = write(tmp, "shape.txt", SHAPE)
+    factorizations = []
+    init = operators.LinearSystem.__init__
+
+    def counted(self, op):
+        factorizations.append(1)
+        init(self, op)
+
+    monkeypatch.setattr(operators.LinearSystem, "__init__", counted)
+    counts = {}
+    for export in ("", "export_martin 1\n"):
+        out = f"{tmp}/o{len(counts)}"
+        cfg = write(tmp, f"cfg{len(counts)}.txt",
+                    f"shape {shp}\nz0 0.3 0.0\n{export}out {out}\n")
+        factorizations.clear()
+        assert main(["rho", cfg]) == 0
+        counts[export] = len(factorizations)
+    text = open(os.path.join(out, "rho_report.txt")).read()
+    rows = [l.split()[0] for l in text.splitlines()
+            if l and not l.startswith("#")]
+    assert rows[1:6] == ["growth", "hm_decay", "modulus", "extremal", "pencil"]
+    assert os.path.exists(os.path.join(out, "martin.csv"))
+    # the export writes the growth estimate's Martin window, not a new solve
+    assert counts["export_martin 1\n"] == counts[""]
 
 
 def test_dirichlet_sweep_riesz_roundtrip(tmp_path):

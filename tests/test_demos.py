@@ -1,18 +1,33 @@
-"""Smoke test: the kernel demo runs to completion as a standalone script."""
+"""Smoke test: the kernel and growth demos run to completion as standalone
+scripts."""
 
 import os
 import subprocess
 import sys
 
+import pytest
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-def test_fundamental_solutions_demo_runs():
+def run_demo(name):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [os.path.join(ROOT, "src")] + [p for p in [env.get("PYTHONPATH")] if p])
     proc = subprocess.run(
-        [sys.executable, os.path.join(ROOT, "demos", "04_fundamental_solutions.py")],
+        [sys.executable, os.path.join(ROOT, "demos", name)],
         env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert "max disagreement" in proc.stdout
+    return proc.stdout
+
+
+def test_fundamental_solutions_demo_runs():
+    assert "max disagreement" in run_demo("04_fundamental_solutions.py")
+
+
+@pytest.mark.parametrize("demo,expect", [
+    ("03_growth_estimators.py", "max pairwise disagreement"),
+    ("07_channel_domains_beta.py", "growth-against-measure sequence"),
+], ids=["03", "07"])
+def test_growth_demo_runs(demo, expect):
+    assert expect in run_demo(demo)

@@ -4,14 +4,18 @@ estimator must return the half-width law rho = pi/(2*half)."""
 
 import numpy as np
 import pytest
+from scipy import ndimage
 
-from logtorus.errors import NotSeparating
+from logtorus.errors import NotSeparating, NotSimplyConnected
 from logtorus.martin import (
-    beta_functional, consistency_table, martin_function, rho_estimates,
-    rho_from_extremal, rho_from_growth, rho_from_hm_decay, rho_from_modulus,
+    _quad_modulus, beta_functional, consistency_table, martin_function,
+    rho_estimates, rho_from_extremal, rho_from_growth, rho_from_hm_decay,
+    rho_from_modulus,
 )
-from logtorus.operators import LogWindow
-from logtorus.torus import Band, Grid, ShapeUnion, Strip, TorusSpec, build_domain
+from logtorus.operators import (LinearSystem, LogWindow, assemble,
+                                harmonic_measure_field, lift_window)
+from logtorus.torus import (Band, Disc, Grid, ShapeDifference, ShapeUnion,
+                            Strip, TorusSpec, Tube, build_domain)
 
 LOG2 = float(np.log(2.0))
 SPEC = TorusSpec(LOG2)
@@ -86,10 +90,35 @@ def test_modulus_unit_square_convention():
     inside = np.zeros((32, 64), dtype=bool)
     inside[8:24, :] = True            # W = 16*hy
     win = LogWindow(grid, 0, 2, 0, 1, inside)
-    from logtorus.martin import _quad_modulus
     mod = _quad_modulus(win, 0, 32)
     W = 16 * grid.hy
     assert mod == pytest.approx(LOG2 / W, rel=1e-9)
+
+
+@pytest.mark.parametrize("island,link", [((1, 3), (1, 8)), ((28, 30), (24, 30))],
+                         ids=["above", "below"])
+def test_quad_modulus_keeps_the_largest_piece(island, link):
+    # the main strip (rows 8-23) and a 2-row island over columns 0-39 that
+    # joins it only through columns 40-45, past the quadrilateral's far
+    # crosscut at column 32: cut there, the island is a separate piece,
+    # and mirror images must get the same verdict
+    grid = Grid(SPEC, 32, 32)
+    inside = np.zeros((32, 64), dtype=bool)
+    inside[8:24, :] = True
+    inside[island[0]:island[1], :40] = True
+    inside[link[0]:link[1], 40:46] = True
+    win = LogWindow(grid, 0, 2, 0, 1, inside)
+    assert _quad_modulus(win, 0, 32) == pytest.approx(LOG2 / (16 * grid.hy),
+                                                      rel=1e-9)
+
+
+def test_quad_modulus_rejects_pieces_below_half():
+    grid = Grid(SPEC, 32, 32)
+    inside = np.zeros((32, 64), dtype=bool)
+    for lo in (2, 12, 22):
+        inside[lo:lo + 6, :] = True
+    with pytest.raises(NotSimplyConnected):
+        _quad_modulus(LogWindow(grid, 0, 2, 0, 1, inside), 0, 32)
 
 
 def test_modulus_rejects_two_arcs():
@@ -143,3 +172,94 @@ def test_estimates_without_base_point():
     for e in ests:
         assert np.isfinite(e.value) and e.value > 0
     assert consistency_table(ests)["max_rel_disagreement"] < 0.05
+
+
+# -- direct reference ----------------------------------------------------
+# Each estimator must equal a plain solve on each of its windows: lift
+# the component, cut the window to its first columns, and solve there.
+# The references below are built from the public operators only.
+
+def lifted(mask, px_lo, px_hi, m_periods, z0):
+    py_lo = -(m_periods // 2)
+    return lift_window(mask, 0, px_lo, px_hi, py_lo, py_lo + m_periods,
+                       anchor=z0)
+
+
+def base_cell(win, z0, column):
+    if z0 is not None:
+        return win.cell_of(*z0)
+    cells = np.argwhere(win.inside)
+    d2 = (cells[:, 0] - win.shape[0] / 2.0) ** 2 + (cells[:, 1] - column) ** 2
+    return tuple(cells[np.argmin(d2)])
+
+
+def crosscut_omega(win, ncols):
+    """Harmonic measure of the middle two-thirds of every arc of column
+    ncols - 1, on the window cut after that column."""
+    inside = win.inside[:, :ncols].copy()
+    cut = LogWindow(win.grid, win.px_lo, win.px_lo + ncols // win.grid.nx,
+                    win.py_lo, win.py_hi, inside)
+    target = np.zeros(inside.shape, dtype=bool)
+    rows = np.flatnonzero(inside[:, -1])
+    for arc in np.split(rows, np.flatnonzero(np.diff(rows) > 1) + 1):
+        k = len(arc)
+        target[arc[k // 6:k - k // 6] if k > 2 else arc, -1] = True
+    return harmonic_measure_field(cut, target).values
+
+
+def quad_distance(win, col1):
+    """Modulus of the quadrilateral between columns 0 and col1: potential
+    0 and 1 on them, insulated elsewhere, 1 / Dirichlet energy."""
+    inside = win.inside.copy()
+    inside[:, col1 + 1:] = False
+    labels, _ = ndimage.label(inside)
+    inside = labels == 1 + np.argmax(np.bincount(labels.ravel())[1:])
+    quad = LogWindow(win.grid, win.px_lo, win.px_hi, win.py_lo, win.py_hi,
+                     inside)
+    clamp = np.zeros(inside.shape, dtype=bool)
+    clamp[:, [0, col1]] = inside[:, [0, col1]]
+    data = np.zeros(inside.shape)
+    data[:, col1] = 1.0
+    op = assemble(quad, "laplacian", bc="neumann", clamp=clamp)
+    u = op.embed(LinearSystem(op).solve(op.boundary_rhs(None, clamp_data=data)))
+    u[clamp & (data > 0)] = 1.0
+    hx, hy = win.hx, win.hy
+    dx = (u[:, 1:] - u[:, :-1])[inside[:, 1:] & inside[:, :-1]]
+    dy = (u[1:, :] - u[:-1, :])[inside[1:, :] & inside[:-1, :]]
+    return 1.0 / float((dx ** 2).sum() * hy / hx + (dy ** 2).sum() * hx / hy)
+
+
+REFERENCE_DOMAINS = {
+    "strip": (48, Strip(-0.8, 0.8), 1, None),
+    "strip_minus_disc": (48, ShapeDifference(Strip(-1.0, 1.0),
+                                             Disc(0.35, 0.5, 0.25)), 1, (0.3, 0.0)),
+    "tube_k4": (48, Tube(4, 0, 0.2), 4, (0.3, 0.68)),
+}
+
+
+@pytest.mark.parametrize("name", list(REFERENCE_DOMAINS))
+def test_estimators_equal_the_direct_window_solves(name):
+    n, shape, m_periods, z0 = REFERENCE_DOMAINS[name]
+    mask = build_domain(SPEC, n, n, shape)
+    nx = mask.grid.nx
+
+    H = martin_function(mask, 0, z0=z0, n=4, m_periods=m_periods)
+    win = lifted(mask, -4, 4, m_periods, z0)
+    cell = base_cell(win, z0, win.shape[1] / 2.0)
+    omega = crosscut_omega(win, win.shape[1])
+    assert np.array_equal(H.window.inside, win.inside)
+    assert H.z0 == cell
+    assert np.array_equal(H.values, np.where(win.inside, omega / omega[cell], 0.0))
+    assert H.meta["omega_at_z0"] == omega[cell]
+
+    d = rho_from_hm_decay(mask, 0, z0=z0, n_min=3, n_max=6,
+                          m_periods=m_periods)
+    win = lifted(mask, -4, 6, m_periods, z0)
+    cell = base_cell(win, z0, 4 * nx - nx // 2)
+    assert d.meta["omegas"] == [float(crosscut_omega(win, (k + 4) * nx)[cell])
+                                for k in range(3, 7)]
+
+    e = rho_from_extremal(mask, 0, n_list=(2, 3, 4), m_periods=m_periods,
+                          z0=z0)
+    win = lifted(mask, 0, 5, m_periods, z0)
+    assert e.meta["distances"] == [quad_distance(win, k * nx) for k in (2, 3, 4)]

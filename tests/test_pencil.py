@@ -11,14 +11,15 @@ import time
 import numpy as np
 import pytest
 
+from logtorus import pencil
 from logtorus.pencil import (
     DENSE_CUTOFF, PencilSystem, _tol_real, check_monotonicity,
     check_shrinking_limit, check_spectrum_symmetries, erode_periodic,
     matsaev_probe, rho_min, spectrum,
 )
 from logtorus.torus import (
-    Band, Disc, Grid, Strip, TorusSpec, Tube, build_domain, mask_from_inside,
-    translate_mask,
+    Band, Disc, Grid, ShapeUnion, Strip, TorusSpec, Tube, build_domain,
+    mask_from_inside, translate_mask,
 )
 
 LOG2 = float(np.log(2.0))
@@ -144,13 +145,40 @@ def test_shrinking_limit_strips():
         assert v == pytest.approx(o, rel=0.05)
 
 
-def test_matsaev_probe_on_symmetric_strip():
+def count_masks(monkeypatch, name):
+    """Record the mask of every call to a pencil-module function."""
+    seen = []
+    fn = getattr(pencil, name)
+
+    def counted(mask, *args, **kwargs):
+        seen.append(mask)
+        return fn(mask, *args, **kwargs)
+
+    monkeypatch.setattr(pencil, name, counted)
+    return seen
+
+
+def test_matsaev_probe_on_symmetric_strip(monkeypatch):
     mask = build_domain(SPEC, 64, 64, Strip(-np.pi / 4, np.pi / 4))
+    spectra = count_masks(monkeypatch, "spectrum")
     rep = matsaev_probe(mask, box=(-4.5, 4.5, -10.0, 10.0))
-    assert rep.details["hausdorff"] < 0.01
+    # the strip is its own reflection, so -D reuses the spectrum of D
+    assert spectra == [mask]
+    assert rep.details["hausdorff"] == 0.0
+    assert rep.details["n_spec"] == rep.details["n_spec_reflected"]
     assert rep.details["neg_identity_within_2pct"] is True
-    assert rep.details["rho_min"] == pytest.approx(
-        rep.details["rho_min_reflected"], rel=1e-6)
+    assert rep.details["rho_min_reflected"] == rep.details["rho_min"]
+
+
+def test_matsaev_probe_recomputes_an_asymmetric_reflection(monkeypatch):
+    mask = build_domain(SPEC, 32, 32,
+                        ShapeUnion(Strip(-0.8, 0.8), Disc(0.3, 0.9, 0.3)))
+    spectra = count_masks(monkeypatch, "spectrum")
+    roots = count_masks(monkeypatch, "rho_min")
+    matsaev_probe(mask, box=(-4.5, 4.5, -10.0, 10.0))
+    for seen in (spectra, roots):
+        assert len(seen) == 2 and seen[0] is mask
+        assert np.array_equal(seen[1].inside, mask.inside[::-1, ::-1])
 
 
 def test_no_zero_eigenvalue_reported():
