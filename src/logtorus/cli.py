@@ -158,6 +158,8 @@ class Runner:
                          f"{format_float(e.ci)} {e.n_range[0]}..{e.n_range[1]}")
         lines.append(f"max_pairwise_rel {format_float(tab['max_rel_disagreement'])}")
         self.write_report("rho_report.txt", lines)
+        self.flags += [f"{e.method}: {e.meta['reason']}" for e in ests
+                       if "reason" in e.meta]
         if self.cfg.get("export_martin"):
             from .fieldio import window_field_to_csv
             H = ests[0].meta["martin"]      # the growth estimate comes first

@@ -24,8 +24,14 @@ the headline acceptance property of this module.
 Three private routines do all window work: _lift makes every window and
 its base cell, _crosscut_measure is the one harmonic-measure solve (Martin
 windows, hm_decay prefixes, beta_functional) and _quad_modulus the one
-quad solve (modulus, extremal).  hm_decay windows start LEFT_PERIODS
-periods left of x = 0; every slope fit must reach R^2 >= R2_MIN.
+quad solve (modulus, extremal).  Both run on operators.PeriodChain: each
+public estimator call builds one chain, so each period-block pattern is
+factored once per call and dropped when it returns.  hm_decay and
+beta_functional read every crosscut from one sweep of their window, and
+martin_function's two windows share one chain; a quad's energy is the
+DtN quadratic form of its 0/1 crosscut data on a 'neumann' chain, so no
+quad needs a field.  hm_decay windows start LEFT_PERIODS periods left of
+x = 0; every slope fit must reach R^2 >= R2_MIN.
 """
 
 from __future__ import annotations
@@ -37,8 +43,7 @@ import numpy as np
 
 from .errors import (ConfigError, FitUnstable, NotSeparating,
                      NotSimplyConnected, TargetEmpty)
-from .operators import (LogWindow, assemble, harmonic_measure_field,
-                        lift_window, LinearSystem)
+from .operators import ChainSweep, LogWindow, PeriodChain, lift_window
 from .torus import DomainMask
 
 __all__ = [
@@ -49,6 +54,7 @@ __all__ = [
 
 LEFT_PERIODS = 4
 R2_MIN = 0.99
+OBLIQUE = "oblique crosscuts: one-period quad is not a fundamental domain"
 
 
 @dataclass
@@ -99,14 +105,13 @@ def _arc_runs(col_inside: np.ndarray):
     return np.split(idx, splits + 1)
 
 
-def _far_target(window: LogWindow, col: int) -> np.ndarray:
-    """Interior two-thirds of each arc of the component at a column."""
-    target = np.zeros(window.shape, dtype=bool)
-    for run in _arc_runs(window.inside[:, col]):
+def _far_rows(col_inside: np.ndarray) -> np.ndarray:
+    """Row mask of the interior two-thirds of each arc of one column."""
+    target = np.zeros(col_inside.shape, dtype=bool)
+    for run in _arc_runs(col_inside):
         k = len(run)
         cut = max(k // 6, 0)
-        sel = run[cut:k - cut] if k > 2 else run
-        target[sel, col] = True
+        target[run[cut:k - cut] if k > 2 else run] = True
     if not target.any():
         raise TargetEmpty("component does not reach the target slice")
     return target
@@ -129,14 +134,12 @@ def _lift(mask: DomainMask, component: int, px_lo: int, px_hi: int,
     return win, tuple(cand[np.argmin(((cand - centre) ** 2).sum(axis=1))])
 
 
-def _crosscut_measure(window: LogWindow, ncols: int) -> np.ndarray:
+def _crosscut_measure(sweep: ChainSweep, nblocks: int) -> list:
     """Harmonic measure of the far crosscut (the target at the last
-    column) on the window cut to its first ncols columns."""
-    sub = LogWindow(window.grid, window.px_lo,
-                    window.px_lo + ncols // window.grid.nx, window.py_lo,
-                    window.py_hi, window.inside[:, :ncols].copy())
-    target = _far_target(sub, sub.shape[1] - 1)
-    return harmonic_measure_field(sub, target).values
+    column) on the sweep's window cut to its first nblocks periods, as the
+    end-column values of its blocks (ChainSweep.solve)."""
+    col = sweep.window.inside[:, nblocks * sweep.nx - 1]
+    return sweep.solve(nblocks, _far_rows(col))
 
 
 def martin_function(mask: DomainMask, component: int = 0,
@@ -156,8 +159,9 @@ def martin_function(mask: DomainMask, component: int = 0,
     small, _ = _lift(mask, component, -(n - 1), n - 1, m_periods, z0)
     off = win.grid.nx
     z0s = (z0_cell[0], z0_cell[1] - off)
-    om = _crosscut_measure(win, win.shape[1])
-    om_s = _crosscut_measure(small, small.shape[1])
+    chain = PeriodChain("face")
+    om, om_s = (sweep.field(_crosscut_measure(sweep, len(sweep.blocks)))
+                for sweep in (chain.sweep(win), chain.sweep(small)))
     if om[z0_cell] <= 0 or om_s[z0s] <= 0:
         raise ConfigError("base point has vanishing harmonic measure")
     H = om / om[z0_cell]
@@ -213,9 +217,10 @@ def rho_from_hm_decay(mask: DomainMask, component: int = 0,
     win, z0_cell = _lift(mask, component, -LEFT_PERIODS, n_max, m_periods, z0,
                          column=LEFT_PERIODS * nx - nx // 2)
     P = mask.grid.spec.P
+    sweep = PeriodChain("face").sweep(win)
     ns, omegas = [], []
     for nn in range(n_min, n_max + 1):
-        w = float(_crosscut_measure(win, (nn + LEFT_PERIODS) * nx)[z0_cell])
+        w = sweep.value(_crosscut_measure(sweep, nn + LEFT_PERIODS), z0_cell)
         if w < 1e-300:
             break
         ns.append(nn)
@@ -234,13 +239,19 @@ def rho_from_hm_decay(mask: DomainMask, component: int = 0,
                         "omegas": omegas, "truncated": len(ns) < n_max - n_min + 1})
 
 
-def _quad_modulus(window: LogWindow, col0: int, col1: int) -> float:
+def _quad_modulus(window: LogWindow, col0: int, col1: int,
+                  chain: Optional[PeriodChain] = None) -> float:
     """Conformal modulus of the quadrilateral between two crosscut
-    columns by the Dirichlet-energy method: potential 0 / 1 on the
-    crosscuts, insulated sides; modulus = 1/energy.  The P x W rectangle
-    yields exactly P/W under this convention.  When the columns cut the
-    window into pieces, the largest piece is the quadrilateral, provided
-    it holds at least half of the cells."""
+    columns, a whole number of periods apart, by the Dirichlet-energy
+    method: potential 0 / 1 on the crosscuts, insulated sides; modulus =
+    1/energy, the energy being the DtN quadratic form of the 0/1 data on
+    a neumann chain (by default a fresh one).  The P x W rectangle yields
+    exactly P/W under this convention.  When the columns cut the window
+    into pieces, the largest piece is the quadrilateral, provided it holds
+    at least half of the cells."""
+    nblocks, rest = divmod(col1 - col0, window.grid.nx)
+    if nblocks < 1 or rest:
+        raise ConfigError("crosscuts must be a whole number of periods apart")
     inside = window.inside.copy()
     inside[:, :col0] = False
     inside[:, col1 + 1:] = False
@@ -253,27 +264,12 @@ def _quad_modulus(window: LogWindow, col0: int, col1: int) -> float:
         if sizes.max() < 0.5 * sizes.sum():
             raise NotSimplyConnected("quadrilateral splits into pieces")
         inside = lab == 1 + np.argmax(sizes)
-    quad = LogWindow(window.grid, window.px_lo, window.px_hi,
-                     window.py_lo, window.py_hi, inside)
-    clamp = np.zeros(inside.shape, dtype=bool)
-    clamp[:, col0] = inside[:, col0]
-    clamp[:, col1] = inside[:, col1]
-    data = np.zeros(inside.shape)
-    data[:, col1] = 1.0
-    op = assemble(quad, "laplacian", bc="neumann", clamp=clamp)
-    rhs = op.boundary_rhs(None, clamp_data=data)
-    u = LinearSystem(op).solve(rhs)
-    vals = op.embed(u)
-    vals[clamp & (data > 0)] = 1.0
-    hx, hy = window.hx, window.hy
-    dx = vals[:, 1:] - vals[:, :-1]
-    mx = inside[:, 1:] & inside[:, :-1]
-    dy = vals[1:, :] - vals[:-1, :]
-    my = inside[1:, :] & inside[:-1, :]
-    energy = float((dx[mx] ** 2).sum() * hy / hx + (dy[my] ** 2).sum() * hx / hy)
-    if energy <= 0:
+    if not (inside[:, col0].any() and inside[:, col1].any()):
         raise NotSimplyConnected("degenerate quadrilateral energy")
-    return 1.0 / energy
+    blocks = LogWindow(window.grid, window.px_lo, window.px_lo + nblocks,
+                       window.py_lo, window.py_hi, inside[:, col0:col1])
+    chain = chain or PeriodChain("neumann")
+    return 1.0 / chain.sweep(blocks, clamp_left=True).energy(nblocks, inside[:, col1])
 
 
 def rho_from_modulus(mask: DomainMask, component: int = 0,
@@ -283,15 +279,21 @@ def rho_from_modulus(mask: DomainMask, component: int = 0,
     the lift through z0.
 
     Requires the lift to meet the x=0 slice in a single arc (separating
-    circle); more arcs raise NotSeparating."""
+    circle); more arcs raise NotSeparating.  When the piece's arc at x=P
+    lies on other rows than its arc at x=0 (a winding tube), the quad is
+    not a fundamental domain of the lift: the value is kept and
+    meta['reason'] says so."""
+    nx = mask.grid.nx
     win, _ = _lift(mask, component, 0, 2, m_periods, z0)
     runs0 = _arc_runs(win.inside[:, 0])
     if len(runs0) != 1:
         raise NotSeparating(f"{len(runs0)} arcs on the x=0 slice")
-    mod = _quad_modulus(win, 0, mask.grid.nx)
+    mod = _quad_modulus(win, 0, nx)
+    meta = {"modulus": mod}
+    if not np.array_equal(win.inside[:, 0], win.inside[:, nx]):
+        meta["reason"] = OBLIQUE
     P = mask.grid.spec.P
-    return RhoEstimate("modulus", float(np.pi / P * mod), 0.0, (0, 1),
-                       {"modulus": mod})
+    return RhoEstimate("modulus", float(np.pi / P * mod), 0.0, (0, 1), meta)
 
 
 def rho_from_extremal(mask: DomainMask, component: int = 0,
@@ -300,7 +302,8 @@ def rho_from_extremal(mask: DomainMask, component: int = 0,
     """Extremal distance route: d(I_0, I_n) is the modulus of the
     n-period quadrilateral; rho = (pi/P) * lim d/n, from a slope fit."""
     win, _ = _lift(mask, component, 0, max(n_list) + 1, m_periods, z0)
-    ds = [_quad_modulus(win, 0, nn * mask.grid.nx) for nn in n_list]
+    chain = PeriodChain("neumann")
+    ds = [_quad_modulus(win, 0, nn * mask.grid.nx, chain) for nn in n_list]
     slope, r2, ci = _slope_fit(np.array(n_list, float), np.array(ds),
                                "extremal")
     P = mask.grid.spec.P
@@ -317,11 +320,12 @@ def beta_functional(window: LogWindow, values: np.ndarray, z0: tuple,
     Bounded sequences indicate minimal growth; channel-limit functions
     diverge."""
     z0_cell = window.cell_of(*z0)
+    nblocks = [nn - window.px_lo for nn in n_range]
+    sweep = PeriodChain("face").sweep(window, max(nblocks))
     seq = []
-    for nn in n_range:
-        om = _crosscut_measure(window, (nn - window.px_lo) * window.grid.nx)
-        col = om.shape[1] - 1
-        w = float(om[z0_cell])
+    for k in nblocks:
+        w = sweep.value(_crosscut_measure(sweep, k), z0_cell)
+        col = k * window.grid.nx - 1
         m = float(values[:, col][window.inside[:, col]].max())
         seq.append(m * w)
     seq = np.array(seq)

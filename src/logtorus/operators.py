@@ -41,6 +41,24 @@ sliced-off columns into clamp couplings, and assemble(..., clamp=...)
 is the unclamped assembly restricted that way.  A caller that clamps
 many different sets (the obstacle solver) assembles once and restricts
 per set.
+
+Period chains.  The Laplacian of a covering window is block tridiagonal
+across its period blocks of nx columns (Buzbee-Golub-Nielson block
+elimination).  PeriodChain(bc) assembles each distinct block pattern
+edge-blind, as an nx-column LogWindow, factors its interior (every
+column but the first and last) once through LinearSystem and solves it
+for the interface columns, which gives the block's Schur complement
+onto its first and last columns.  A link between two blocks differs from
+the edge-blind blocks only on the diagonal of interface rows where both
+cells are inside: +1/hx^2 for 'face' (no ghost), -1/hx^2 for 'neumann'
+(the link counts), with the coupling 1/hx^2 between the two rows; a
+window's own edges need nothing.  ChainSweep eliminates the blocks left
+to right, keeping one Schur complement onto the last column per period
+and the map that back-substitutes the column before it, so one sweep
+solves every prefix window: clamp the prefix's last column, walk back
+through the maps, and fill a block's interior with one dense product.
+The factored blocks live as long as the chain; callers make one per
+estimator call.
 """
 
 from __future__ import annotations
@@ -58,7 +76,7 @@ from .torus import TWO_PI, DomainMask, Grid, GridField
 __all__ = [
     "LogWindow", "OperatorMatrix", "Region", "assemble", "lift_window",
     "solve_dirichlet", "harmonic_measure", "harmonic_measure_field",
-    "LinearSystem", "region_of",
+    "LinearSystem", "PeriodChain", "ChainSweep", "region_of",
 ]
 
 _KINDS = ("laplacian", "d_dx", "l_rho")
@@ -366,15 +384,171 @@ class LinearSystem:
             raise SolverFailure(f"factorization failed: {exc}") from exc
 
     def solve(self, rhs: np.ndarray, rel_tol: float = 1e-10) -> np.ndarray:
+        """Solve for one right-hand side or for the columns of a 2-D one;
+        every nonzero column must reach the relative residual rel_tol."""
         u = self.lu.solve(rhs)
         if not np.all(np.isfinite(u)):
             raise SolverFailure("solution is not finite")
-        scale = np.linalg.norm(rhs)
-        if scale > 0:
-            res = np.linalg.norm(self.op.matrix @ u - rhs) / scale
-            if res > rel_tol:
-                raise SolverFailure(f"relative residual {res:.2e} > {rel_tol:.0e}")
+        cols = rhs.reshape(rhs.shape[0], -1)
+        scale = np.linalg.norm(cols, axis=0)
+        res = np.linalg.norm((self.op.matrix @ u - rhs).reshape(cols.shape), axis=0)
+        for k in np.flatnonzero((scale > 0) & (res > rel_tol * scale)):
+            where = f" in column {k}" if rhs.ndim > 1 else ""
+            raise SolverFailure(f"relative residual {res[k] / scale[k]:.2e} > "
+                                f"{rel_tol:.0e}{where}")
         return u
+
+
+@dataclass
+class _Block:
+    """One factored period-block pattern.  left and right are the inside
+    rows of its first and last column (the interface, in that order),
+    interior the mask of the other inside cells, X = A_JJ^-1 A_JI their
+    response to unit interface values and S = A_II - A_IJ X the Schur
+    complement onto the interface."""
+
+    left: np.ndarray
+    right: np.ndarray
+    interior: np.ndarray
+    X: np.ndarray
+    S: np.ndarray
+
+
+class PeriodChain:
+    """Factored period blocks of one boundary convention ('face' or
+    'neumann'), keyed by inside pattern and shared by every window swept
+    through this chain.  See the module docstring."""
+
+    def __init__(self, bc: str):
+        if bc not in ("face", "neumann"):
+            raise ConfigError(f"a period chain needs bc 'face' or 'neumann', not {bc!r}")
+        self.bc = bc
+        self._blocks = {}
+
+    def _block(self, window: LogWindow, b: int) -> _Block:
+        nx = window.grid.nx
+        inside = window.inside[:, b * nx:(b + 1) * nx]
+        key = (inside.shape, inside.tobytes())
+        if key in self._blocks:
+            return self._blocks[key]
+        edges = np.zeros_like(inside)
+        edges[:, [0, -1]] = inside[:, [0, -1]]
+        left, right = np.flatnonzero(inside[:, 0]), np.flatnonzero(inside[:, -1])
+        interior = inside & ~edges
+        X = np.zeros((int(interior.sum()), len(left) + len(right)))
+        S = np.zeros((X.shape[1], X.shape[1]))
+        if inside.any():
+            op = assemble(LogWindow(window.grid, 0, 1, window.py_lo, window.py_hi,
+                                    inside.copy()), "laplacian", bc=self.bc)
+            A = op.matrix
+            I = np.concatenate([op.dof_index[left, 0], op.dof_index[right, -1]])
+            J = op.dof_index[interior]
+            S = A[I][:, I].toarray()
+            if J.size:
+                X = LinearSystem(op.restrict(edges)).solve(A[J][:, I].toarray())
+                S -= A[I][:, J] @ X
+        self._blocks[key] = _Block(left, right, interior, X, S)
+        return self._blocks[key]
+
+    def sweep(self, window: LogWindow, nblocks: Optional[int] = None,
+              clamp_left: bool = False) -> "ChainSweep":
+        """Left-to-right Schur sweep over the first nblocks period blocks
+        of the window (all by default); with clamp_left the window's
+        first column is clamped to 0 instead of free."""
+        whole = window.shape[1] // window.grid.nx
+        if nblocks is None:
+            nblocks = whole
+        if not 1 <= nblocks <= whole:
+            raise ConfigError(f"cannot sweep {nblocks} of the window's {whole} periods")
+        return ChainSweep(self, window, nblocks, clamp_left)
+
+
+class ChainSweep:
+    """One left-to-right sweep: T[b] is the Schur complement of the
+    prefix of blocks 0..b onto the last column of block b, G[b] the map
+    from that column's values to the values of the last column of block
+    b-1 and the first column of block b (see the module docstring)."""
+
+    def __init__(self, chain: PeriodChain, window: LogWindow, nblocks: int,
+                 clamp_left: bool):
+        self.window = window
+        self.nx = window.grid.nx
+        self.c = 1.0 / window.hx ** 2            # x-link coefficient
+        dc = self.c if chain.bc == "face" else -self.c   # link correction
+        self.blocks, self.T, self.G = [], [], []
+        T, prev = np.zeros((0, 0)), np.zeros(0, dtype=np.int64)
+        for b in range(nblocks):
+            blk = chain._block(window, b)
+            nl = len(blk.left)
+            S_LL, S_LR = blk.S[:nl, :nl], blk.S[:nl, nl:]
+            if b == 0 and clamp_left:
+                G = np.zeros((nl, len(blk.right)))
+            else:
+                C = self.c * (prev[:, None] == blk.left[None, :])
+                M = np.block([[T + dc * np.diag(C.any(axis=1)), C],
+                              [C.T, S_LL + dc * np.diag(C.any(axis=0))]])
+                G = np.linalg.solve(M, np.vstack([np.zeros((len(prev), S_LR.shape[1])),
+                                                  S_LR]))
+            T = blk.S[nl:, nl:] - blk.S[nl:, :nl] @ G[len(G) - nl:]
+            self.blocks.append(blk)
+            self.T.append(T)
+            self.G.append(G)
+            prev = blk.right
+
+    def solve(self, k: int, clamp: np.ndarray) -> list:
+        """End-column values, (left, right) per block, on the prefix of k
+        blocks whose last-column cells in the row mask clamp are clamped
+        to 1; every other boundary value is 0."""
+        if not 1 <= k <= len(self.blocks):
+            raise ConfigError(f"no prefix of {k} periods in a sweep of {len(self.blocks)}")
+        T = self.T[k - 1]
+        on = np.asarray(clamp, dtype=bool)[self.blocks[k - 1].right]
+        u = on.astype(float)
+        u[~on] = np.linalg.solve(T[np.ix_(~on, ~on)], -T[np.ix_(~on, on)].sum(axis=1))
+        return self._back(k, u)
+
+    def _back(self, k: int, u: np.ndarray) -> list:
+        """Back substitution from the last column's values u."""
+        ends = [None] * k
+        for b in range(k - 1, -1, -1):
+            v = -self.G[b] @ u
+            n_prev = len(v) - len(self.blocks[b].left)
+            ends[b] = (v[n_prev:], u)
+            u = v[:n_prev]
+        return ends
+
+    def _values(self, ends: list, b: int) -> np.ndarray:
+        blk = self.blocks[b]
+        left, right = ends[b]
+        vals = np.zeros(blk.interior.shape)
+        vals[blk.left, 0] = left
+        vals[blk.right, -1] = right
+        vals[blk.interior] = -blk.X @ np.concatenate([left, right])
+        return vals
+
+    def field(self, ends: list) -> np.ndarray:
+        """Values on every cell of the prefix that ends solves: one dense
+        interior product per block."""
+        return np.hstack([self._values(ends, b) for b in range(len(ends))])
+
+    def value(self, ends: list, cell: tuple) -> float:
+        """Value at one cell, from its own block only."""
+        b, i = divmod(cell[1], self.nx)
+        return float(self._values(ends, b)[cell[0], i])
+
+    def energy(self, k: int, rows: np.ndarray) -> float:
+        """Least Dirichlet energy hx*hy * sum over links of
+        c*(difference)^2 on the prefix of k blocks plus one more column,
+        whose cells in the row mask rows are clamped to 1, with the first
+        column clamped to 0: the DtN quadratic form of the 0/1 data.  For
+        a 'neumann' sweep with clamp_left.  By Green's identity it is the
+        flux out of the first column, a sum of positive values with no
+        cancellation."""
+        link = np.zeros(len(self.blocks[k - 1].right))
+        link[np.asarray(rows, dtype=bool)[self.blocks[k - 1].right]] = self.c
+        ends = self._back(k, np.linalg.solve(np.diag(link) - self.T[k - 1], link))
+        flux = self.c * self._values(ends, 0)[self.blocks[0].left, 1].sum()
+        return self.window.hx * self.window.hy * float(flux)
 
 
 def solve_dirichlet(domain, boundary_data, bc: str = "face") -> GridField:

@@ -8,7 +8,7 @@ from scipy import ndimage
 
 from logtorus.errors import NotSeparating, NotSimplyConnected
 from logtorus.martin import (
-    _quad_modulus, beta_functional, consistency_table, martin_function,
+    OBLIQUE, _quad_modulus, beta_functional, consistency_table, martin_function,
     rho_estimates, rho_from_extremal, rho_from_growth, rho_from_hm_decay,
     rho_from_modulus,
 )
@@ -237,11 +237,16 @@ REFERENCE_DOMAINS = {
 }
 
 
+def assert_close(got, want):
+    np.testing.assert_allclose(got, want, rtol=1e-10, atol=0)
+
+
 @pytest.mark.parametrize("name", list(REFERENCE_DOMAINS))
 def test_estimators_equal_the_direct_window_solves(name):
     n, shape, m_periods, z0 = REFERENCE_DOMAINS[name]
     mask = build_domain(SPEC, n, n, shape)
     nx = mask.grid.nx
+    P = mask.grid.spec.P
 
     H = martin_function(mask, 0, z0=z0, n=4, m_periods=m_periods)
     win = lifted(mask, -4, 4, m_periods, z0)
@@ -249,17 +254,71 @@ def test_estimators_equal_the_direct_window_solves(name):
     omega = crosscut_omega(win, win.shape[1])
     assert np.array_equal(H.window.inside, win.inside)
     assert H.z0 == cell
-    assert np.array_equal(H.values, np.where(win.inside, omega / omega[cell], 0.0))
-    assert H.meta["omega_at_z0"] == omega[cell]
+    assert_close(H.values, np.where(win.inside, omega / omega[cell], 0.0))
+    assert_close(H.meta["omega_at_z0"], omega[cell])
+
+    # beta over the Martin window, from the centre of the base cell
+    X, Y = win.meshgrid()
+    ns = range(1, 5)
+    rep = beta_functional(H.window, H.values, (X[cell], Y[cell]), ns)
+    seq = []
+    for k in ns:
+        col = (k + 4) * nx - 1
+        seq.append(H.values[:, col][win.inside[:, col]].max()
+                   * crosscut_omega(win, col + 1)[cell])
+    assert_close(rep["sequence"], seq)
 
     d = rho_from_hm_decay(mask, 0, z0=z0, n_min=3, n_max=6,
                           m_periods=m_periods)
     win = lifted(mask, -4, 6, m_periods, z0)
     cell = base_cell(win, z0, 4 * nx - nx // 2)
-    assert d.meta["omegas"] == [float(crosscut_omega(win, (k + 4) * nx)[cell])
-                                for k in range(3, 7)]
+    assert_close(d.meta["omegas"], [crosscut_omega(win, (k + 4) * nx)[cell]
+                                    for k in range(3, 7)])
+
+    m = rho_from_modulus(mask, 0, m_periods=m_periods, z0=z0)
+    mod = quad_distance(lifted(mask, 0, 2, m_periods, z0), nx)
+    assert_close(m.meta["modulus"], mod)
+    assert_close(m.value, np.pi / P * mod)
 
     e = rho_from_extremal(mask, 0, n_list=(2, 3, 4), m_periods=m_periods,
                           z0=z0)
     win = lifted(mask, 0, 5, m_periods, z0)
-    assert e.meta["distances"] == [quad_distance(win, k * nx) for k in (2, 3, 4)]
+    assert_close(e.meta["distances"], [quad_distance(win, k * nx) for k in (2, 3, 4)])
+
+
+@pytest.mark.parametrize("name,oblique", [("strip", False),
+                                          ("strip_minus_disc", False),
+                                          ("tube_k4", True)])
+def test_modulus_flags_oblique_crosscuts(name, oblique):
+    # the piece of the k=4 tube meets x=P on rows other than at x=0, so
+    # the one-period quad has oblique ends: the value is kept, and flagged
+    n, shape, m_periods, z0 = REFERENCE_DOMAINS[name]
+    mask = build_domain(SPEC, n, n, shape)
+    m = rho_from_modulus(mask, 0, m_periods=m_periods, z0=z0)
+    win = lifted(mask, 0, 2, m_periods, z0)
+    assert np.array_equal(win.inside[:, 0], win.inside[:, n]) != oblique
+    assert m.meta.get("reason") == (OBLIQUE if oblique else None)
+    assert_close(m.meta["modulus"], quad_distance(win, n))
+
+
+def test_one_factorization_per_estimator_call(monkeypatch):
+    # every estimator factors one period block of a strip once: 4 LUs
+    # for the four estimators, 1 for beta over 4 crosscuts
+    mask = build_domain(SPEC, 64, 64, Strip(-0.8, 0.8))
+    dofs = []
+    init = LinearSystem.__init__
+
+    def counted(self, op):
+        dofs.append(op.ndof)
+        init(self, op)
+
+    monkeypatch.setattr(LinearSystem, "__init__", counted)
+    ests = rho_estimates(mask, 0, z0=(0.3, 0.0), extremal_ns=(2, 3, 4),
+                         include_pencil=False)
+    assert len(ests) == 4
+    assert len(dofs) <= 4
+    assert max(dofs) <= mask.inside.sum()
+    dofs.clear()
+    H = ests[0].meta["martin"]
+    beta_functional(H.window, H.values, (0.3, 0.0), range(1, 5))
+    assert len(dofs) == 1

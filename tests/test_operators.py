@@ -8,10 +8,10 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from logtorus.errors import TargetEmpty
+from logtorus.errors import SolverFailure, TargetEmpty
 from logtorus.operators import (
-    assemble, harmonic_measure, harmonic_measure_field, lift_window,
-    region_of, solve_dirichlet,
+    LinearSystem, LogWindow, PeriodChain, assemble, harmonic_measure,
+    harmonic_measure_field, lift_window, region_of, solve_dirichlet,
 )
 from logtorus.torus import (Disc, Grid, Strip, TorusSpec, build_domain,
                             mask_from_inside)
@@ -273,3 +273,50 @@ def test_clamped_rows_reproduce_unclamped_rows(case):
     got = op.matrix @ u[op.free] - op.boundary_rhs(data, clamp_data=u)
     want = want[full.dof_index[op.free]]
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_solve_checks_the_residual_of_every_column(monkeypatch):
+    # a column 1e-9 times smaller than the others, corrupted by 0.1%:
+    # its own relative residual is 1e-3, that of all three columns in
+    # the Frobenius norm below 1e-12
+    mask = build_domain(SPEC, 32, 32, Strip(-1.0, 1.0))
+    system = LinearSystem(assemble(mask, "laplacian"))
+    rhs = np.ones((system.op.ndof, 3))
+    rhs[:, 1] *= 1e-9
+    system.solve(rhs)
+    lu = system.lu
+
+    class Corrupt:
+        def solve(self, b):
+            u = lu.solve(b)
+            u[:, 1] *= 1.001
+            return u
+
+    monkeypatch.setattr(system, "lu", Corrupt())
+    with pytest.raises(SolverFailure, match="in column 1"):
+        system.solve(rhs)
+
+
+def test_period_chain_equals_the_direct_solve_on_every_prefix():
+    # four 8-column blocks, all different: a strip with a hole, a plain
+    # strip, an empty block and one whose only cells lie in its edge
+    # columns
+    grid = Grid(SPEC, 8, 16)
+    inside = np.zeros((16, 32), dtype=bool)
+    inside[4:12, :16] = True
+    inside[7:9, 3:5] = False
+    inside[5:10, [24, 31]] = True
+    win = LogWindow(grid, 0, 4, 0, 1, inside)
+    sweep = PeriodChain("face").sweep(win)
+    for k in (1, 2, 4):
+        target = np.zeros(16, dtype=bool)
+        target[inside[:, 8 * k - 1]] = True
+        target[[5, 9]] = False
+        cut = LogWindow(grid, 0, k, 0, 1, inside[:, :8 * k].copy())
+        full = np.zeros(cut.shape, dtype=bool)
+        full[:, -1] = target & cut.inside[:, -1]
+        want = harmonic_measure_field(cut, full).values
+        ends = sweep.solve(k, target)
+        got = sweep.field(ends)
+        assert np.max(np.abs(got - want)) <= 1e-12
+        assert sweep.value(ends, (6, 8 * k - 2)) == pytest.approx(want[6, -2], rel=1e-12)
