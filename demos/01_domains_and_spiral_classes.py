@@ -34,19 +34,16 @@ for name, shape in cases:
     print(f"  components: {mask.n_components}, inside cells: {mask.n_inside}")
     for c in range(mask.n_components):
         sc = mask.spiral_of(c)
-        tag = "" if sc.conclusive else "  [window inconclusive]"
         if sc.connected:
             print(f"  component {c}: connected on spirals, k = {sc.k}, "
-                  f"y-winding = {sc.y_winding}{tag}")
+                  f"y-winding = {sc.y_winding}")
         else:
-            print(f"  component {c}: not connected on spirals{tag}")
+            print(f"  component {c}: not connected on spirals")
     print()
 
-print("a tube with winding beyond the detection window gets flagged,")
-print("never silently classified:")
-mask = build_domain(spec, 96, 96, Tube(4, 0, 0.04), window_periods=4)
-sc = mask.spiral_of(0)
-print(f"  window_periods=4: kind={sc.kind}, conclusive={sc.conclusive}")
-mask = build_domain(spec, 96, 96, Tube(4, 0, 0.04), window_periods=6)
-sc = mask.spiral_of(0)
-print(f"  window_periods=6: k={sc.k}, conclusive={sc.conclusive}")
+# The class is read off the winding lattice of one periodic labeling, so
+# any winding is exact; the grid only has to keep the strands apart.
+eps = 0.69 * np.pi * P / np.sqrt((5 * P) ** 2 + 4 * np.pi ** 2)
+sc = build_domain(spec, 48, 240, Tube(5, 0, eps)).spiral_of(0)
+print(f"spiral tube, winding 5 (grid 48 x 240, eps = {eps:.4f}):")
+print(f"  {sc.kind}, k = {sc.k}, y-winding = {sc.y_winding}")

@@ -87,12 +87,7 @@ class Runner:
         shape_path = self.need("shape")
         with open(shape_path) as f:
             spec, nx, ny, shape = parse_shape_lines(f.readlines())
-        wp = int(self.cfg.get("window_periods", 4))
-        mask = build_domain(spec, nx, ny, shape, window_periods=wp)
-        for c in range(mask.n_components):
-            if not mask.spiral_of(c).conclusive:
-                self.flags.append(f"component {c}: spiral class inconclusive")
-        return mask
+        return build_domain(spec, nx, ny, shape)
 
     def rho(self) -> float:
         return float(self.need("rho"))

@@ -360,12 +360,7 @@ def rho_min(mask: DomainMask, bc: str = "face", full_result: bool = False):
         parts = components(mask)
     results = []
     for part in parts:
-        if part.spiral:
-            sc = part.spiral_of(0)
-        else:
-            from .torus import classify_spiral
-            sc = classify_spiral(part)[0]
-        if sc.connected:
+        if part.spiral_of(0).connected:
             results.append(_component_rho_min(part, bc))
     valued = [r for r in results if r.value is not None]
     if valued:

@@ -257,11 +257,7 @@ def _lambda_of_mask(mask: DomainMask) -> tuple:
     """(max over components of 1/rho, per-component list)."""
     per = []
     for c, part in enumerate(components(mask)):
-        if mask.spiral:
-            sc = mask.spiral_of(c)
-        else:
-            from .torus import classify_spiral
-            sc = classify_spiral(part)[0]
+        sc = mask.spiral_of(c)
         if not sc.connected:
             per.append({"component": c, "lambda": 0.0, "rho": None,
                         "spiral": sc.kind})

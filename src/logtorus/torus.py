@@ -4,15 +4,16 @@ The torus has x-period P (log-radius direction) and y-period 2*pi
 (argument direction); the fundamental rectangle is (0,P) x (-pi,pi).
 Cells are rasterized by their centers, components use 4-connectivity,
 and a domain is classified as *connected on spirals* when it carries a
-loop with nonzero winding around the x-cycle.  The winding count k is
-detected by lifting the component to the x-covering strip and looking
-for cells that reconnect with their translate by k periods.
+loop with nonzero winding around the x-cycle.  One periodic labeling
+finds the components and the winding lattice of each (the integer
+vectors (x, y) by which a loop of the component winds around the two
+cycles); the class (k, l) is read off that lattice exactly.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
+from math import gcd
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -317,9 +318,14 @@ def parse_shape_lines(lines: Sequence[str]):
 class SpiralClass:
     """Connectivity-on-spirals verdict for one component.
 
-    k is the minimal x-winding of a detected loop, y_winding the y-cycle
-    count of a realizing loop.  conclusive=False flags a detection window
-    that was too small to settle the verdict.
+    The windings (x, y) of the component's loops form a lattice with
+    Hermite basis {(k, l), (0, d)}, k, d >= 0.  The component is connected
+    on spirals iff k > 0; k is then the minimal x-winding of a loop and
+    y_winding = l the y-cycle count of a loop that realizes it.  When the
+    lattice also holds a pure-y loop (d > 0), l is defined only mod d and
+    y_winding is its representative of least |l|, in (-d/2, d/2].  The
+    verdict is exact, so conclusive is always True; the field stays for
+    existing readers.
     """
 
     kind: str                      # 'connected_on_spirals' | 'not_connected_on_spirals'
@@ -359,66 +365,97 @@ class DomainMask:
         return self.labels == c
 
     def spiral_of(self, c: int) -> SpiralClass:
-        return self.spiral[c]
-
-
-def _seam_roots(n: int, *seams) -> np.ndarray:
-    """Class root of every label 0..n once the labels that face each
-    other across each seam are joined.  A seam is a pair (a, b) of label
-    lines that meet when the grid wraps; a pair joins only where both
-    labels are inside (> 0).  A root is the least label of its class, so
-    label 0 stays 0."""
-    parent = list(range(n + 1))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for a_line, b_line in seams:
-        both = (a_line > 0) & (b_line > 0)
-        for a, b in zip(a_line[both], b_line[both]):
-            ra, rb = find(int(a)), find(int(b))
-            if ra != rb:
-                parent[max(ra, rb)] = min(ra, rb)
-    return np.array([find(a) for a in range(n + 1)])
+        """Spiral class of component c, classified on demand when the
+        mask was built with classify=False."""
+        return (self.spiral or classify_spiral(self))[c]
 
 
 def _label_periodic(inside: np.ndarray) -> tuple:
-    """4-connected component labels with wrap-around in both directions."""
-    labels, n = ndimage.label(inside)
-    roots = _seam_roots(n, (labels[:, 0], labels[:, -1]),
-                        (labels[0, :], labels[-1, :]))
+    """4-connected component labels with wrap-around in both directions,
+    and the winding vectors of every component.
+
+    The cut-open grid is labeled once; its pieces are then joined across
+    the x seam (last column to first, offset (1, 0)) and the y seam (last
+    row to first, offset (0, 1)) by a union-find that keeps each piece's
+    integer offset to its class root, i.e. which lift of the piece is
+    connected to the root's lift in the covering plane.  A seam link
+    inside one class closes a loop, and the offset it finds is that
+    loop's winding (Newman and Ziff, Phys. Rev. E 64, 016706, 2001); the
+    windings of a component form the lattice these vectors generate.
+
+    Returns (labels, n, windings): labels[j, i] the component of an
+    inside cell and -1 outside, components numbered by their least
+    cut-open label, and windings[c] the loop vectors (x, y) of c.
+    """
+    pieces, n = ndimage.label(inside)
+    links = []
+    for a_line, b_line, e in ((pieces[:, -1], pieces[:, 0], (1, 0)),
+                              (pieces[-1, :], pieces[0, :], (0, 1))):
+        both = (a_line > 0) & (b_line > 0)
+        pairs = a_line[both].astype(np.int64) * (n + 1) + b_line[both]
+        links += [(*divmod(int(ab), n + 1), e) for ab in np.unique(pairs)]
+
+    parent = list(range(n + 1))
+    offset = [(0, 0)] * (n + 1)   # lift joined to the parent's base lift
+
+    def find(a):
+        path = []
+        while parent[a] != a:
+            path.append(a)
+            a = parent[a]
+        dx = dy = 0
+        for p in reversed(path):
+            dx, dy = dx + offset[p][0], dy + offset[p][1]
+            parent[p], offset[p] = a, (dx, dy)
+        return a
+
+    loops = {}
+    for a, b, (ex, ey) in links:
+        ra, rb = find(a), find(b)
+        # the root ra's base lift is joined to rb's lift at (dx, dy)
+        dx = offset[a][0] + ex - offset[b][0]
+        dy = offset[a][1] + ey - offset[b][1]
+        if ra == rb:
+            loops.setdefault(ra, []).append((dx, dy))
+            continue
+        # the least label stays the root, so label 0 (outside) stays 0
+        if ra < rb:
+            parent[rb], offset[rb] = ra, (dx, dy)
+        else:
+            parent[ra], offset[ra] = rb, (-dx, -dy)
+        loops.setdefault(min(ra, rb), []).extend(loops.pop(max(ra, rb), []))
+
+    roots = np.arange(n + 1)
+    for a in {a for link in links for a in link[:2]}:
+        roots[a] = find(a)
     # number the classes by their least label; root 0 (outside) gives -1
     uniq, remap = np.unique(roots, return_inverse=True)
-    return remap[labels] - 1, len(uniq) - 1
+    windings = [loops.get(int(r), []) for r in uniq[1:]]
+    return remap[pieces] - 1, len(uniq) - 1, windings
 
 
 def mask_from_inside(grid: Grid, inside: np.ndarray,
-                     classify: bool = True, window_periods: int = 4) -> DomainMask:
+                     classify: bool = True) -> DomainMask:
     """Build a DomainMask from a boolean inside array."""
     inside = np.ascontiguousarray(inside, dtype=bool).copy()
     if not inside.any():
         raise EmptyDomain("no inside cells")
     if inside.all():
         raise AllCellsInside("complement is empty; boundary has no grid support")
-    labels, n = _label_periodic(inside)
+    labels, n, _ = _label_periodic(inside)
     mask = DomainMask(grid, inside, labels, n)
     if classify:
-        spiral = classify_spiral(mask, window_periods=window_periods)
-        mask = DomainMask(grid, inside, labels, n, spiral)
+        mask = DomainMask(grid, inside, labels, n, classify_spiral(mask))
     return mask
 
 
 def build_domain(spec: TorusSpec, nx: int, ny: int, shape: ShapeExpr,
-                 classify: bool = True, window_periods: int = 4) -> DomainMask:
+                 classify: bool = True) -> DomainMask:
     """Rasterize a shape expression (cell-center rule) and classify it."""
     grid = Grid(spec, nx, ny)
     X, Y = grid.meshgrid()
     inside = np.asarray(shape.contains(X, Y, spec), dtype=bool)
-    return mask_from_inside(grid, inside, classify=classify,
-                            window_periods=window_periods)
+    return mask_from_inside(grid, inside, classify=classify)
 
 
 def components(mask: DomainMask) -> list:
@@ -436,107 +473,29 @@ def components(mask: DomainMask) -> list:
 # spiral classification
 # ----------------------------------------------------------------------
 
-def _tiled_classify(comp: np.ndarray, wp: int):
-    """Detect the minimal x-winding of loops in one component.
-
-    The component is tiled wp+1 times along x (cutting the x-cycle open
-    while keeping y periodic); two copies of the same base cell falling in
-    one tiled component realize a loop with x-winding = block offset.
-
-    Returns (k or None, pair or None, labels, boundary_flag) where pair
-    is a witness ((j,i), block_a, block_b) and boundary_flag marks a lift
-    that crosses tile seams or window edges without reconnecting.
-    """
-    ny, nx = comp.shape
-    tiled = np.tile(comp, (1, wp + 1))
-    labels, n = ndimage.label(tiled)
-    # restore y-periodicity of the quotient
-    labels = _seam_roots(n, (labels[0, :], labels[-1, :]))[labels]
-
-    base = labels[:, :nx]
-    k_best, witness = None, None
-    for m in range(1, wp + 1):
-        shifted = labels[:, m * nx:(m + 1) * nx]
-        hit = comp & (base > 0) & (base == shifted)
-        if hit.any():
-            j, i = np.argwhere(hit)[0]
-            k_best, witness = m, ((int(j), int(i)), 0, m)
-            break
-
-    boundary = False
-    if k_best is None:
-        # does the seed's lift cross between tile blocks or touch edges?
-        seed_labels = set(np.unique(base[comp & (base > 0)]))
-        for m in range(wp):
-            seam_a = labels[:, m * nx + nx - 1]
-            seam_b = labels[:, (m + 1) * nx]
-            crossing = set(np.unique(seam_a[(seam_a > 0) & (seam_a == seam_b)]))
-            if crossing & seed_labels:
-                boundary = True
-                break
-    return k_best, witness, labels, boundary
+def _spiral_class(windings) -> SpiralClass:
+    """Reduce loop windings to the Hermite basis {(k, l), (0, d)} of the
+    lattice they generate and read the class off it."""
+    u, d = (0, 0), 0
+    for w in windings:
+        # Euclid on the x-components: keeps the span of {u, w}
+        while w[0]:
+            q = u[0] // w[0]
+            u, w = w, (u[0] - q * w[0], u[1] - q * w[1])
+        d = gcd(d, w[1])
+    k, l = u if u[0] >= 0 else (-u[0], -u[1])
+    if k == 0:
+        return SpiralClass("not_connected_on_spirals")
+    if d:
+        l %= d
+        if 2 * l > d:
+            l -= d
+    return SpiralClass("connected_on_spirals", k, l)
 
 
-def _y_winding(comp: np.ndarray, wp: int, cell, k: int) -> int:
-    """Net y-cycle count of a loop joining a cell to its k-period x-translate.
-
-    BFS on the x-cover (y kept periodic), tracking accumulated y wraps.
-    """
-    ny, nx = comp.shape
-    j0, i0 = cell
-    start = (j0, i0, 0)
-    target = (j0, i0, k)
-    b = {start: 0}
-    q = deque([start])
-    while q:
-        j, i, blk = q.popleft()
-        wraps = b[(j, i, blk)]
-        for dj, di, dw in ((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0)):
-            jj = j + dj
-            ww = wraps
-            if jj == ny:
-                jj, ww = 0, wraps + 1
-            elif jj == -1:
-                jj, ww = ny - 1, wraps - 1
-            ii, bb = i + di, blk
-            if ii == nx:
-                ii, bb = 0, blk + 1
-            elif ii == -1:
-                ii, bb = nx - 1, blk - 1
-            if not (0 <= bb <= wp) or not comp[jj, ii]:
-                continue
-            key = (jj, ii, bb)
-            if key not in b:
-                b[key] = ww
-                if key == target:
-                    return ww
-                q.append(key)
-    return 0
-
-
-def classify_spiral(mask: DomainMask, window_periods: int = 4) -> tuple:
-    """Classify every component of the mask; see SpiralClass.
-
-    A verdict is conclusive when detection windows of window_periods and
-    window_periods-1 x-periods agree; windings k > window_periods - 1 are
-    reported as inconclusive.
-    """
-    if window_periods < 2:
-        raise ConfigError("window_periods must be >= 2")
-    out = []
-    for c in range(mask.n_components):
-        comp = mask.component_mask(c)
-        k, witness, _, boundary = _tiled_classify(comp, window_periods)
-        k_small, _, _, boundary_small = _tiled_classify(comp, window_periods - 1)
-        if k is not None:
-            conclusive = (k == k_small)
-            l = _y_winding(comp, window_periods, witness[0], k)
-            out.append(SpiralClass("connected_on_spirals", k, l, conclusive))
-        else:
-            conclusive = not (boundary or boundary_small)
-            out.append(SpiralClass("not_connected_on_spirals",
-                                   conclusive=conclusive))
-    return tuple(out)
+def classify_spiral(mask: DomainMask) -> tuple:
+    """Classify every component of the mask exactly; see SpiralClass."""
+    return tuple(_spiral_class(w) for w in _label_periodic(mask.inside)[2])
 
 
 # ----------------------------------------------------------------------

@@ -235,11 +235,12 @@ def test_exit_codes(tmp_path):
     # config missing required key -> 2
     cfg = write(tmp, "bad.txt", "rho 1.0\n")
     assert main(["domain", cfg]) == 2
-    # inconclusive flags -> 4: a tube winding past the default window
+    # flagged result -> 4: a spectrum truncated at max_count
     shp = write(tmp, "shape.txt",
-                "torus 0.6931471805599453 96 96\n+ tube 4 0 0.04\n")
-    cfg = write(tmp, "cfg.txt", f"shape {shp}\nout {tmp}/out\n")
-    assert main(["domain", cfg]) == 4
+                "torus 0.6931471805599453 32 32\n+ strip -0.8 0.8\n")
+    cfg = write(tmp, "cfg.txt",
+                f"shape {shp}\nmax_count 1\nout {tmp}/out\n")
+    assert main(["spectrum", cfg]) == 4
 
 
 def test_field_csv_roundtrip(tmp_path):

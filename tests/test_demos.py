@@ -1,5 +1,5 @@
-"""Smoke test: the kernel and growth demos run to completion as standalone
-scripts."""
+"""Smoke test: the spiral-class, kernel and growth demos run to completion
+as standalone scripts."""
 
 import os
 import subprocess
@@ -19,6 +19,12 @@ def run_demo(name):
         env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
+
+
+def test_spiral_classes_demo_runs():
+    out = run_demo("01_domains_and_spiral_classes.py")
+    assert "winding 5 (grid 48 x 240" in out
+    assert out.rstrip().endswith("connected_on_spirals, k = 5, y-winding = 1")
 
 
 def test_fundamental_solutions_demo_runs():

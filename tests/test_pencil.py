@@ -296,6 +296,20 @@ def test_unresolved_tube_stops_below_grid_limit():
     assert not r.meta.get("grid_limited") and not r.meta.get("resolution_limited")
 
 
+def test_tube_k5_rho_min_matches_straight_strip_law():
+    # in the x-cover Tube(k, l, eps) is a straight strip of width 2*eps;
+    # the tolerance adds one cell's extent across the slanted strand
+    k, P = 5, LOG2
+    eps = 0.69 * np.pi * P / np.sqrt((k * P) ** 2 + 4 * np.pi ** 2)
+    mask = build_domain(SPEC, 48, 240, Tube(k, 0, eps))
+    assert mask.spiral_of(0).k == k
+    expect = np.pi * np.sqrt((k * P) ** 2 + 4 * np.pi ** 2) / (2 * eps * k * P)
+    theta = np.arctan(2 * np.pi / (k * P))
+    tol = 0.02 + (P / 48 * np.sin(theta)
+                  + 2 * np.pi / 240 * np.cos(theta)) / (2 * eps)
+    assert rho_min(mask) == pytest.approx(expect, rel=tol)
+
+
 PENCIL_DOMAINS = {
     "strip96_quarter": lambda: build_domain(SPEC, 96, 96, Strip(-np.pi / 4, np.pi / 4)),
     "strip96_half": lambda: build_domain(SPEC, 96, 96, Strip(-np.pi / 2, np.pi / 2)),
