@@ -128,6 +128,8 @@ class Runner:
                        max_count=int(self.cfg.get("max_count", 200)))
         if res.meta.get("truncated"):
             self.flags.append("spectrum truncated at max_count")
+        if res.meta.get("reason"):
+            self.flags.append(f"spectrum incomplete: {res.meta['reason']}")
         spectrum_to_csv(os.path.join(self.out, "spectrum.txt"), res, self.header())
         if self.cfg.get("eigenfunctions"):
             for k, fld in enumerate(res.eigenfunctions):

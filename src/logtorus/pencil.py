@@ -4,15 +4,19 @@ K is the masked Dirichlet Laplacian, B the centered d/dx; eigenvalues
 rho with a nontrivial kernel make up the discrete spectrum of the
 homogeneous boundary problem  L_rho q = 0, q = 0 on the boundary.
 
-spectrum() finds the eigenpairs in a complex box from the companion
-linearization
-
-        A (q, rho*q) = rho (q, rho*q),    A = [[0, I], [-K, -2B]],
-
-solved densely for small interiors and by multi-shift shift-invert
-Arnoldi otherwise.  One application of (A - sigma)^(-1) costs a single
-sparse solve with Q(sigma) = K + 2*sigma*B + sigma^2*I.  It returns
-eigenpairs only; the critical value comes from rho_min().
+spectrum() finds the eigenpairs in a complex box by one contour filter
+(Beyn's integral method, W.-J. Beyn, Linear Algebra Appl. 436, 2012, in
+the Rayleigh-Ritz form of Sakurai and Sugiura) on T(z) = K + 2zB + z^2 I.
+NODES trapezoid nodes z_j on an ellipse through the corners of the box
+and of its conjugate give the moments S_k = sum_j w_j z_j^k T(z_j)^(-1)
+T'(z_j) V, k = 0, 1, of deterministic +-1 probes V.  K and B are real, so
+only the upper-half nodes take a complex LU, one at a time.  tr(V^T S_0)/L
+estimates the eigenvalue count in the contour (the argument principle);
+K and B projected onto the orthonormalized [S_0 S_1] give a small
+quadratic problem solved by its dense companion, and every returned
+pair passes the residual bound TOL_RES.  A filtered block without a
+singular value below SAT_TOL per unit probe norm is saturated and is
+grown once; one still saturated is reported in meta['reason'].
 
 rho_min() finds the critical value rho(D) without the companion.  While
 rho*hx < 1 the off-diagonal entries 1/hx^2 +- rho/hx and 1/hy^2 of
@@ -36,6 +40,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 from scipy import sparse
+from scipy.linalg import eig
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigs, splu
 
 from .errors import SolverFailure
@@ -48,11 +53,16 @@ __all__ = [
     "check_shrinking_limit", "matsaev_probe",
 ]
 
-DENSE_CUTOFF = 1200
-K_PER_SHIFT = 16        # companion eigenpairs requested per Arnoldi shift
 TOL_RES = 1e-8          # relative residual bound of a certified eigenpair
 SHIFT_RTOL = 0.03       # the 2*pi*i/P shift is an O(h^2) symmetry of the pencil
 MATCH_RTOL = 1e-6       # conjugation, reflection and translation are exact
+
+# spectrum: contour filter
+NODES = 32              # trapezoid nodes on the ellipse; NODES // 2 complex LUs
+PROBES = 16             # columns of the first +-1 probe block
+PROBES_MAX = 64         # bound of the block grown once from the count estimate
+SAT_TOL = 1e-9          # filtered singular value, per unit probe norm, that is resolved
+PROBE_SEED = 2012       # the probes are the same on every call
 
 # rho_min: Perron evaluations stop below rho*hx = RHO_HX_MAX, where the
 # x-couplings 1/hx^2 - rho/hx of A(rho) are still positive
@@ -146,84 +156,115 @@ class PencilSystem:
         A[:n, n:] = np.eye(n)
         A[n:, :n] = -Kd
         A[n:, n:] = -2.0 * Bd
-        from scipy.linalg import eig
         vals, vecs = eig(A)
         return vals, vecs[:n, :]
 
-    def eigs_near(self, sigma: complex):
-        """K_PER_SHIFT eigenpairs of the companion nearest sigma via
-        shift-invert, from a fixed start vector."""
-        n = self.n
-        k = min(K_PER_SHIFT, 2 * n - 2)
-        Q = (self.K + 2.0 * sigma * self.B
-             + sigma * sigma * sparse.identity(n, format="csc"))
-        try:
-            lu = splu(Q.astype(np.complex128))
-        except RuntimeError:
-            sigma = sigma + 1e-3 + 1e-3j
-            Q = (self.K + 2.0 * sigma * self.B
-                 + sigma * sigma * sparse.identity(n, format="csc"))
-            lu = splu(Q.astype(np.complex128))
+    def eigs_near(self, contour):
+        """(values, vectors, info) of the Ritz pairs inside the ellipse
+        `contour` = (center, a, b), not yet residual-checked.
 
-        B = self.B
+        A saturated block of PROBES probes is grown once: by the count
+        estimate plus three standard errors, and at least by PROBES, up
+        to PROBES_MAX columns; only the new columns are filtered.
+        info['reason'] says when the grown block is saturated too.
+        """
+        V = _probes(self.n, PROBES)
+        S = self._filter(contour, V)
+        Q, saturated = _filtered_basis(S, PROBES)
+        count, err = _count_estimate(V, S[0])
+        passes = 1
+        if saturated:
+            L = min(PROBES_MAX, PROBES + max(PROBES, int(np.ceil(count + 3.0 * err))))
+            V = _probes(self.n, L)
+            S = np.concatenate([S, self._filter(contour, V[:, PROBES:])], axis=2)
+            Q, saturated = _filtered_basis(S, L)
+            count, err = _count_estimate(V, S[0])
+            passes = 2
+        L = V.shape[1]
+        info = {"count_estimate": count, "count_error": err, "probes": L,
+                "nodes": NODES, "factorizations": passes * (NODES // 2)}
+        if saturated:
+            info["reason"] = (f"filtered block saturated at {L} probes: no singular "
+                              f"value below {SAT_TOL:.0e} per unit probe norm, so "
+                              f"eigenvalues in the contour may be missing")
+        values, vectors = self._ritz(Q)
+        center, a, b = contour
+        inside = ((values.real - center) / a) ** 2 + (values.imag / b) ** 2 <= 1.0
+        return values[inside], vectors[:, inside], info
 
-        def opinv(w):
-            f, g = w[:n], w[n:]
-            u = -lu.solve(g + 2.0 * (B @ f) + sigma * f)
-            return np.concatenate([u, f + sigma * u])
+    def _filter(self, contour, V: np.ndarray) -> np.ndarray:
+        """Moments S_0, S_1 of the trapezoid rule for
+        (1/2 pi i) ∮ z'^k T(z)^(-1) T'(z) V dz, z' = (z - center)/radius,
+        as one real (2, n, L) array; one complex LU at a time."""
+        center, a, b = contour
+        radius = max(a, b)
+        eye = sparse.identity(self.n, format="csc")
+        BV = self.B @ V
+        S = np.zeros((2,) + V.shape)
+        for t in np.pi * (np.arange(NODES // 2) + 0.5) / (NODES // 2):
+            z = center + a * np.cos(t) + 1j * b * np.sin(t)
+            w = (-a * np.sin(t) + 1j * b * np.cos(t)) / (1j * NODES)
+            try:
+                lu = splu((self.K + 2.0 * z * self.B + z * z * eye).tocsc())
+            except RuntimeError as exc:
+                raise SolverFailure(f"T(z) singular at the contour node {z:.6g}") from exc
+            # one column at a time: SuperLU solves a block through BLAS-3
+            # calls that multi-threaded OpenBLAS splits, and the spinning
+            # worker then slows the single-threaded work that follows
+            R = 2.0 * BV + 2.0 * z * V
+            Y = w * np.column_stack([lu.solve(R[:, k]) for k in range(R.shape[1])])
+            del lu      # one LU at a time
+            # the conjugate node contributes the conjugate term
+            S[0] += 2.0 * Y.real
+            S[1] += 2.0 * (Y * ((z - center) / radius)).real
+        return S
 
-        def amat(w):
-            f, g = w[:n], w[n:]
-            return np.concatenate([g, -(self.K @ f) - 2.0 * (B @ g)])
-
-        A_op = LinearOperator((2 * n, 2 * n), matvec=amat, dtype=np.complex128)
-        OPinv = LinearOperator((2 * n, 2 * n), matvec=opinv, dtype=np.complex128)
-        v0 = np.random.default_rng(0).standard_normal(2 * n) + 0j
-        try:
-            vals, vecs = eigs(A_op, k=k, sigma=sigma, OPinv=OPinv, v0=v0,
-                              maxiter=3000)
-        except ArpackNoConvergence as exc:
-            vals, vecs = exc.eigenvalues, exc.eigenvectors
-            if vals.size == 0:
-                raise SolverFailure(f"ARPACK failed near sigma={sigma}") from exc
-        return vals, vecs[:n, :]
-
-
-def _collect(system: PencilSystem, raw_vals, raw_vecs, accepted: dict):
-    """Residual-certify and deduplicate eigenpairs into `accepted`."""
-    for idx in range(len(raw_vals)):
-        rho = complex(raw_vals[idx])
-        q = raw_vecs[:, idx]
-        res = system.residual(rho, q)
-        if res > TOL_RES:
-            continue
-        key = None
-        for existing in accepted:
-            if abs(rho - existing) <= 1e-6 * (1.0 + abs(existing)):
-                key = existing
-                break
-        if key is None:
-            accepted[rho] = (res, q)
-        elif res < accepted[key][0]:
-            accepted[key] = (res, q)
+    def _ritz(self, Q: np.ndarray):
+        """Eigenpairs of the pencil projected onto the columns of Q."""
+        r = Q.shape[1]
+        A = np.zeros((2 * r, 2 * r))
+        A[:r, r:] = np.eye(r)
+        A[r:, :r] = -(Q.T @ (self.K @ Q))
+        A[r:, r:] = -2.0 * (Q.T @ (self.B @ Q))
+        vals, vecs = eig(A)
+        return vals, Q @ vecs[:r, :]
 
 
-def _default_shifts(box, P: float) -> list:
+def _ellipse(box):
+    """(center, a, b) of the ellipse center + a cos t + i b sin t through
+    the corners of the box and of its conjugate, axes along their hull."""
     re0, re1, im0, im1 = box
-    nre = int(np.clip(np.ceil((re1 - re0) / 2.0), 2, 6))
-    res = np.linspace(re0 + 0.1 * (re1 - re0), re1 - 0.1 * (re1 - re0), nre)
-    ims = {0.0} if im0 <= 0.0 <= im1 else set()
-    step = TWO_PI / P
-    m = 1
-    while -m * step >= im0 or m * step <= im1:
-        for s in (-m * step, m * step):
-            if im0 <= s <= im1:
-                ims.add(s)
-        m += 1
-        if m > 8:
-            break
-    shifts = [complex(r, i) for r in res for i in sorted(ims)]
-    return shifts
+    if not (re0 < re1 and im0 <= im1):
+        raise ValueError(f"empty search box {box}")
+    half = 0.5 * (re1 - re0)
+    height = max(abs(im0), abs(im1)) or half
+    return re0 + half, np.sqrt(2.0) * half, np.sqrt(2.0) * height
+
+
+def _probes(n: int, L: int) -> np.ndarray:
+    """n x L deterministic +-1 probes; a wider block extends a narrower."""
+    signs = np.random.default_rng(PROBE_SEED).integers(0, 2, size=(L, n))
+    return (2.0 * signs - 1.0).T
+
+
+def _count_estimate(V: np.ndarray, S0: np.ndarray):
+    """tr(V^T S_0)/L, the Hutchinson estimate of the number of
+    eigenvalues in the contour, and its standard error."""
+    per_probe = np.einsum("ij,ij->j", V, S0)
+    L = len(per_probe)
+    return float(per_probe.mean()), float(per_probe.std(ddof=1) / np.sqrt(L))
+
+
+def _filtered_basis(S: np.ndarray, L: int):
+    """Orthonormal basis of the directions of [S_0 S_1] above SAT_TOL per
+    unit probe norm, and whether no direction fell below it.  An
+    eigenvalue inside the contour gives a direction of order sqrt(L), one
+    outside it that times its filter value."""
+    M = np.hstack([S[0], S[1]])
+    U, sv, _ = np.linalg.svd(M, full_matrices=False)
+    keep = sv > SAT_TOL * np.sqrt(L)
+    # with fewer unknowns than columns the basis spans the whole space
+    return U[:, keep], bool(keep.all()) and len(sv) == M.shape[1]
 
 
 def spectrum(mask: DomainMask, search_box, max_count: int = 200,
@@ -232,36 +273,32 @@ def spectrum(mask: DomainMask, search_box, max_count: int = 200,
 
     Every reported pair satisfies the relative residual bound TOL_RES;
     if more than max_count survive, the list is truncated by |rho| and
-    flagged in meta['truncated'].
+    flagged in meta['truncated'].  meta carries the filter's work and
+    its eigenvalue count: count_estimate (and its count_error) against
+    certified_in_contour, probes, nodes and factorizations; meta['reason']
+    is set when the filtered block stayed saturated, so that eigenvalues
+    may be missing.
     """
     re0, re1, im0, im1 = search_box
     system = PencilSystem(mask, bc=bc)
-    accepted: dict = {}
-    if system.n <= DENSE_CUTOFF:
-        vals, vecs = system.dense_eigs()
-        keep = np.isfinite(vals)
-        _collect(system, vals[keep], vecs[:, keep], accepted)
-        mode = "dense"
-    else:
-        for sigma in _default_shifts(search_box, mask.grid.spec.P):
-            try:
-                vals, vecs = system.eigs_near(sigma)
-            except SolverFailure:
-                continue
-            _collect(system, vals, vecs, accepted)
-        mode = "shift-invert"
-
-    inbox = [(r, v) for r, v in accepted.items()
-             if re0 <= r.real <= re1 and im0 <= r.imag <= im1]
+    values, vectors, info = system.eigs_near(_ellipse(search_box))
+    certified = []
+    for rho, q in zip(values, vectors.T):
+        res = system.residual(rho, q)
+        if res <= TOL_RES:
+            certified.append((complex(rho), res, q))
+    inbox = [t for t in certified
+             if re0 <= t[0].real <= re1 and im0 <= t[0].imag <= im1]
     inbox.sort(key=lambda t: abs(t[0]))
     truncated = len(inbox) > max_count
     inbox = inbox[:max_count]
 
-    eigenvalues = np.array([r for r, _ in inbox])
-    residuals = np.array([v[0] for _, v in inbox])
-    fields = [system.embed_field(system.normalize(v[1])) for _, v in inbox]
-    meta = {"mode": mode, "tol_res": TOL_RES, "box": tuple(search_box),
-            "truncated": truncated, "bc": bc}
+    eigenvalues = np.array([t[0] for t in inbox])
+    residuals = np.array([t[1] for t in inbox])
+    fields = [system.embed_field(system.normalize(t[2])) for t in inbox]
+    meta = {"mode": "contour", "tol_res": TOL_RES, "box": tuple(search_box),
+            "truncated": truncated, "bc": bc,
+            "certified_in_contour": len(certified), **info}
     return SpectrumResult(eigenvalues, fields, residuals, mask, meta)
 
 

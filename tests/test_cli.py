@@ -243,6 +243,17 @@ def test_exit_codes(tmp_path):
     assert main(["spectrum", cfg]) == 4
 
 
+def test_spectrum_command_flags_an_unresolved_box(tmp_path, capsys):
+    # about 200 eigenvalues in the contour saturate the bounded probe block
+    tmp = str(tmp_path)
+    shp = write(tmp, "shape.txt",
+                "torus 0.6931471805599453 32 32\n+ strip -0.8 0.8\n")
+    cfg = write(tmp, "cfg.txt",
+                f"shape {shp}\nrho_box 0.5,30,-60,60\nout {tmp}/out\n")
+    assert main(["spectrum", cfg]) == 4
+    assert "flag: spectrum incomplete: filtered block saturated" in capsys.readouterr().err
+
+
 def test_field_csv_roundtrip(tmp_path):
     grid = Grid(TorusSpec(LOG2), 16, 24)
     rng = np.random.default_rng(0)

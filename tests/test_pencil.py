@@ -6,6 +6,7 @@ eigenfunctions exp(2*pi*i*m*x/P) * sin((rho + 2*pi*m*i/P)(y - alpha));
 this oracle is independent of the matrix pipeline.
 """
 
+import functools
 import time
 
 import numpy as np
@@ -13,7 +14,7 @@ import pytest
 
 from logtorus import pencil
 from logtorus.pencil import (
-    DENSE_CUTOFF, PencilSystem, _tol_real, check_monotonicity,
+    NODES, PROBES_MAX, TOL_RES, PencilSystem, _tol_real, check_monotonicity,
     check_shrinking_limit, check_spectrum_symmetries, erode_periodic,
     matsaev_probe, rho_min, spectrum,
 )
@@ -241,6 +242,10 @@ SMALL_DOMAINS = {
 }
 
 
+# interior cells up to which the dense 2n x 2n companion takes seconds
+DENSE_N_MAX = 1200
+
+
 def dense_companion_rho_min(mask):
     """Least real positive eigenvalue of the dense 2n x 2n companion whose
     residual-certified eigenvector has a single sign after peak
@@ -275,7 +280,7 @@ def test_rho_min_agrees_with_dense_companion(name):
     # the dense 2n x 2n companion plus a sign filter is an independent
     # route to the least certified positive eigenvalue
     mask = SMALL_DOMAINS[name]()
-    assert mask.n_inside <= DENSE_CUTOFF
+    assert mask.n_inside <= DENSE_N_MAX
     ref = dense_companion_rho_min(mask)
     r = rho_min(mask, full_result=True)
     assert r.value == pytest.approx(ref, rel=1e-9)
@@ -308,6 +313,81 @@ def test_tube_k5_rho_min_matches_straight_strip_law():
     tol = 0.02 + (P / 48 * np.sin(theta)
                   + 2 * np.pi / 240 * np.cos(theta)) / (2 * eps)
     assert rho_min(mask) == pytest.approx(expect, rel=tol)
+
+
+def tube_k4(nx, ny):
+    k, P = 4, LOG2
+    eps_max = np.pi * P / np.sqrt((k * P) ** 2 + 4 * np.pi ** 2)
+    return build_domain(SPEC, nx, ny, Tube(k, 0, 0.69 * eps_max))
+
+
+# the 32x128 tube of the benchmark has 2944 interior cells, whose dense
+# companion takes minutes; the 16x64 one is the same winding at half the
+# resolution
+COMPANION_DOMAINS = {
+    **{name: SMALL_DOMAINS[name] for name in
+       ("strip", "strip_minus_disc", "strip_plus_disc", "two_strips")},
+    "tube_k4_16x64": lambda: tube_k4(16, 64),
+}
+COMPANION_BOXES = [(0.5, 4.5, -10.0, 10.0), (-4.0, 4.0, -10.0, 10.0),
+                   (0.5, 8.5, -20.0, 20.0)]
+
+
+@functools.lru_cache(maxsize=None)
+def dense_companion_spectrum(name, bc):
+    """Residual-certified eigenvalues of the dense 2n x 2n companion."""
+    mask = COMPANION_DOMAINS[name]()
+    assert mask.n_inside <= DENSE_N_MAX
+    system = PencilSystem(mask, bc=bc)
+    vals, vecs = system.dense_eigs()
+    keep = [k for k in range(len(vals)) if np.isfinite(vals[k])
+            and system.residual(vals[k], vecs[:, k]) <= TOL_RES]
+    return mask, vals[keep]
+
+
+@pytest.mark.parametrize("box", COMPANION_BOXES)
+@pytest.mark.parametrize("bc", ["face", "outside"])
+@pytest.mark.parametrize("name", COMPANION_DOMAINS)
+def test_spectrum_matches_dense_companion(name, bc, box):
+    # the boxes hold 0 to 33 eigenvalues, up to 43 in the contour: past
+    # what a fixed block of 16 probes resolves
+    mask, vals = dense_companion_spectrum(name, bc)
+    re0, re1, im0, im1 = box
+    ref = vals[(vals.real >= re0) & (vals.real <= re1)
+               & (vals.imag >= im0) & (vals.imag <= im1)]
+    got = spectrum(mask, box, bc=bc).eigenvalues
+    assert len(got) == len(ref)
+    for a, b in ((ref, got), (got, ref)):
+        for rho in a:
+            assert np.min(np.abs(b - rho)) <= 1e-10 * abs(rho)
+
+
+def test_spectrum_is_deterministic_and_reports_its_filter():
+    mask = SMALL_DOMAINS["strip_plus_disc"]()
+    box = (0.5, 8.5, -20.0, 20.0)
+    first, second = spectrum(mask, box), spectrum(mask, box)
+    assert np.array_equal(first.eigenvalues, second.eigenvalues)
+    meta = first.meta
+    for key in ("count_estimate", "certified_in_contour", "probes", "nodes",
+                "factorizations"):
+        assert key in meta
+    assert meta["nodes"] == NODES
+    assert meta["certified_in_contour"] >= len(first)
+    assert "reason" not in meta
+
+
+def test_spectrum_beyond_the_bounded_block_is_flagged(monkeypatch):
+    # about 200 eigenvalues in the contour against at most 2*PROBES_MAX
+    # filtered directions: one grown block, then a reason
+    lus = []
+    splu = pencil.splu
+    monkeypatch.setattr(pencil, "splu", lambda A: lus.append(A) or splu(A))
+    mask = SMALL_DOMAINS["strip"]()
+    res = spectrum(mask, (0.5, 30.0, -60.0, 60.0))
+    assert "saturated" in res.meta["reason"]
+    assert res.meta["probes"] == PROBES_MAX
+    assert res.meta["factorizations"] == len(lus) == NODES
+    assert all(r <= TOL_RES for r in res.residuals)
 
 
 PENCIL_DOMAINS = {
