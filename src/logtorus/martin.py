@@ -24,14 +24,23 @@ the headline acceptance property of this module.
 Three private routines do all window work: _lift makes every window and
 its base cell, _crosscut_measure is the one harmonic-measure solve (Martin
 windows, hm_decay prefixes, beta_functional) and _quad_modulus the one
-quad solve (modulus, extremal).  Both run on operators.PeriodChain: each
-public estimator call builds one chain, so each period-block pattern is
-factored once per call and dropped when it returns.  hm_decay and
-beta_functional read every crosscut from one sweep of their window, and
-martin_function's two windows share one chain; a quad's energy is the
-DtN quadratic form of its 0/1 crosscut data on a 'neumann' chain, so no
-quad needs a field.  hm_decay windows start LEFT_PERIODS periods left of
-x = 0; every slope fit must reach R^2 >= R2_MIN.
+quad solve (modulus, extremal).  _lift reads each window's y-periods off
+the component's winding class (k, l): a strand climbs s = l/k y-periods
+per x-period, so x-periods [px_lo, px_hi] take the y-periods
+[floor(min(px_lo*s, px_hi*s)), ceil(max(px_lo*s, px_hi*s)) + 1), with
+s = 0 (the single period [0, 1)) for l = 0 or a component not connected
+on spirals; a side then gains a period at a time while the piece
+through the base cell reaches its first or last row.  martin_function
+lifts once: its [-n+1, n-1] convergence window is the base cell's piece
+of the [-n, n] window's inner columns, on the same rows.  Both solves
+run on operators.PeriodChain: each public estimator call builds one
+chain, so each period-block pattern is factored once per call and
+dropped when it returns.  hm_decay and beta_functional read every
+crosscut from one sweep of their window, and martin_function's two
+windows share one chain; a quad's energy is the DtN quadratic form of
+its 0/1 crosscut data on a 'neumann' chain, so no quad needs a field.
+hm_decay windows start LEFT_PERIODS periods left of x = 0; every slope
+fit must reach R^2 >= R2_MIN.
 """
 
 from __future__ import annotations
@@ -40,6 +49,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
+from scipy import ndimage
 
 from .errors import (ConfigError, FitUnstable, NotSeparating,
                      NotSimplyConnected, TargetEmpty)
@@ -53,6 +63,7 @@ __all__ = [
 ]
 
 LEFT_PERIODS = 4
+Y_WIDEN = 4
 R2_MIN = 0.99
 OBLIQUE = "oblique crosscuts: one-period quad is not a fundamental domain"
 
@@ -118,20 +129,46 @@ def _far_rows(col_inside: np.ndarray) -> np.ndarray:
 
 
 def _lift(mask: DomainMask, component: int, px_lo: int, px_hi: int,
-          m_periods: int, z0: Optional[tuple], column: Optional[int] = None):
-    """Lift a component to the window of periods [px_lo, px_hi] in x and
-    m_periods about y = 0 in y, and find its base cell: the cell of z0, or
-    else the inside cell nearest the middle row at `column` (by default
-    the middle column, which gives lift_window's own anchor)."""
-    py_lo = -(m_periods // 2)
-    win = lift_window(mask, component, px_lo, px_hi, py_lo, py_lo + m_periods,
-                      anchor=z0)
-    if z0 is not None:
-        return win, win.cell_of(*z0)
-    centre = [win.shape[0] / 2.0,
-              win.shape[1] / 2.0 if column is None else column]
-    cand = np.argwhere(win.inside)
-    return win, tuple(cand[np.argmin(((cand - centre) ** 2).sum(axis=1))])
+          z0: Optional[tuple], column: Optional[int] = None):
+    """Lift a component to the window of periods [px_lo, px_hi] in x, and
+    find its base cell: the cell of z0, or else the inside cell nearest
+    the middle row at `column` (by default the middle column, which gives
+    lift_window's own anchor).
+
+    The y-extent comes from the winding class (k, l): on the lift a strand
+    climbs s = l/k y-periods per x-period (s = 0 when the component is not
+    connected on spirals), so the window first takes the y-periods
+    [floor(min(px_lo*s, px_hi*s)), ceil(max(px_lo*s, px_hi*s)) + 1).
+    The rule does not see where the base cell sits in its period or how
+    wide the strand is, so while the piece through the base cell reaches
+    the window's first (last) row, an artificial Dirichlet edge, that side
+    gains one period and the lift is redone through the same base cell.
+    A piece that still reaches an edge after Y_WIDEN periods on a side is
+    taken as unbounded in y (a component with a pure y-loop, whose
+    x-slices are never one arc) and raises NotSeparating rather than
+    being solved cut.  Every l = 0 component whose lift stays off the
+    y-edges, a strip among them, gets [0, 1)."""
+    spiral = mask.spiral_of(component)
+    k, l = (spiral.k, spiral.y_winding) if spiral.connected else (1, 0)
+    ends = (px_lo * l, px_hi * l)
+    py_lo, py_hi = min(ends) // k, -(-max(ends) // k) + 1
+    anchor = z0
+    for _ in range(Y_WIDEN + 1):
+        win = lift_window(mask, component, px_lo, px_hi, py_lo, py_hi,
+                          anchor=anchor)
+        if anchor is None:
+            centre = [win.shape[0] / 2.0,
+                      win.shape[1] / 2.0 if column is None else column]
+            cand = np.argwhere(win.inside)
+            j, i = cand[np.argmin(((cand - centre) ** 2).sum(axis=1))]
+            anchor = (win.x_centers()[i], win.y_centers()[j])
+        low, high = int(win.inside[0].any()), int(win.inside[-1].any())
+        if not (low or high):
+            return win, win.cell_of(*anchor)
+        py_lo, py_hi = py_lo - low, py_hi + high
+    raise NotSeparating(f"the lift's piece still reaches a y-edge of the "
+                        f"window after {Y_WIDEN} added periods: it is not "
+                        f"bounded in y, so no x-slice is one arc")
 
 
 def _crosscut_measure(sweep: ChainSweep, nblocks: int) -> list:
@@ -143,22 +180,28 @@ def _crosscut_measure(sweep: ChainSweep, nblocks: int) -> list:
 
 
 def martin_function(mask: DomainMask, component: int = 0,
-                    z0: Optional[tuple] = None, n: int = 6,
-                    m_periods: int = 1) -> MartinApprox:
+                    z0: Optional[tuple] = None, n: int = 6) -> MartinApprox:
     """Ratio-of-harmonic-measures approximation of the minimal positive
     harmonic function of the lift, normalized to 1 at z0 (by default the
     inside cell nearest the window center).
 
     The window spans [-n, n] periods; convergence is checked against the
     [-n+1, n-1] window on the middle third and flagged (never coerced)
-    when the relative change exceeds 2 percent.
+    when the relative change exceeds 2 percent.  That window is cut out
+    of the first: the piece through z0 of its columns [nx:-nx], on the
+    same rows, so the two fields stay row-aligned.
     """
     if n < 3:
         raise ConfigError("need n >= 3 periods")
-    win, z0_cell = _lift(mask, component, -n, n, m_periods, z0)
-    small, _ = _lift(mask, component, -(n - 1), n - 1, m_periods, z0)
+    win, z0_cell = _lift(mask, component, -n, n, z0)
     off = win.grid.nx
     z0s = (z0_cell[0], z0_cell[1] - off)
+    cut = win.inside[:, off:-off]
+    if not 0 <= z0s[1] < cut.shape[1]:
+        raise ConfigError("base point outside the convergence window")
+    labels, _ = ndimage.label(cut)
+    small = LogWindow(win.grid, -(n - 1), n - 1, win.py_lo, win.py_hi,
+                      labels == labels[z0s])
     chain = PeriodChain("face")
     om, om_s = (sweep.field(_crosscut_measure(sweep, len(sweep.blocks)))
                 for sweep in (chain.sweep(win), chain.sweep(small)))
@@ -208,13 +251,13 @@ def rho_from_growth(H: MartinApprox) -> RhoEstimate:
 
 def rho_from_hm_decay(mask: DomainMask, component: int = 0,
                       z0: Optional[tuple] = None, n_min: int = 3,
-                      n_max: int = 8, m_periods: int = 1) -> RhoEstimate:
+                      n_max: int = 8) -> RhoEstimate:
     """Slope of -log omega(z0, crosscut at n periods) against n*P, with
     the two-sided band check omega * e^{rho n P} confined to a fixed
     ratio band.  The crosscut windows span [-LEFT_PERIODS, n] periods;
     the default z0 is the middle of period [-1, 0]."""
     nx = mask.grid.nx
-    win, z0_cell = _lift(mask, component, -LEFT_PERIODS, n_max, m_periods, z0,
+    win, z0_cell = _lift(mask, component, -LEFT_PERIODS, n_max, z0,
                          column=LEFT_PERIODS * nx - nx // 2)
     P = mask.grid.spec.P
     sweep = PeriodChain("face").sweep(win)
@@ -257,7 +300,6 @@ def _quad_modulus(window: LogWindow, col0: int, col1: int,
     inside[:, col1 + 1:] = False
     if not inside.any():
         raise NotSimplyConnected("empty quadrilateral")
-    from scipy import ndimage
     lab, ncomp = ndimage.label(inside)
     if ncomp != 1:
         sizes = np.bincount(lab.ravel())[1:]
@@ -273,7 +315,7 @@ def _quad_modulus(window: LogWindow, col0: int, col1: int,
 
 
 def rho_from_modulus(mask: DomainMask, component: int = 0,
-                     m_periods: int = 1, z0: Optional[tuple] = None) -> RhoEstimate:
+                     z0: Optional[tuple] = None) -> RhoEstimate:
     """(pi/P) times the conformal modulus of the one-period quadrilateral
     between the crosscut at x=0 and its translate at x=P, on the piece of
     the lift through z0.
@@ -284,7 +326,7 @@ def rho_from_modulus(mask: DomainMask, component: int = 0,
     not a fundamental domain of the lift: the value is kept and
     meta['reason'] says so."""
     nx = mask.grid.nx
-    win, _ = _lift(mask, component, 0, 2, m_periods, z0)
+    win, _ = _lift(mask, component, 0, 2, z0)
     runs0 = _arc_runs(win.inside[:, 0])
     if len(runs0) != 1:
         raise NotSeparating(f"{len(runs0)} arcs on the x=0 slice")
@@ -298,10 +340,10 @@ def rho_from_modulus(mask: DomainMask, component: int = 0,
 
 def rho_from_extremal(mask: DomainMask, component: int = 0,
                       n_list: Sequence[int] = (2, 3, 4, 5),
-                      m_periods: int = 1, z0: Optional[tuple] = None) -> RhoEstimate:
+                      z0: Optional[tuple] = None) -> RhoEstimate:
     """Extremal distance route: d(I_0, I_n) is the modulus of the
     n-period quadrilateral; rho = (pi/P) * lim d/n, from a slope fit."""
-    win, _ = _lift(mask, component, 0, max(n_list) + 1, m_periods, z0)
+    win, _ = _lift(mask, component, 0, max(n_list) + 1, z0)
     chain = PeriodChain("neumann")
     ds = [_quad_modulus(win, 0, nn * mask.grid.nx, chain) for nn in n_list]
     slope, r2, ci = _slope_fit(np.array(n_list, float), np.array(ds),
@@ -337,18 +379,16 @@ def beta_functional(window: LogWindow, values: np.ndarray, z0: tuple,
 def rho_estimates(mask: DomainMask, component: int = 0,
                   z0: Optional[tuple] = None, n_martin: int = 6,
                   n_decay: tuple = (3, 8), extremal_ns: Sequence[int] = (2, 3, 4, 5),
-                  m_periods: int = 1, include_pencil: bool = True) -> list:
+                  include_pencil: bool = True) -> list:
     """All growth estimators for one component, plus the pencil value.
     The growth estimate comes first and carries the Martin function in
     meta['martin']."""
-    H = martin_function(mask, component, z0=z0, n=n_martin,
-                        m_periods=m_periods)
+    H = martin_function(mask, component, z0=z0, n=n_martin)
     out = [rho_from_growth(H),
            rho_from_hm_decay(mask, component, z0=z0, n_min=n_decay[0],
-                             n_max=n_decay[1], m_periods=m_periods),
-           rho_from_modulus(mask, component, m_periods=m_periods, z0=z0),
-           rho_from_extremal(mask, component, n_list=extremal_ns,
-                             m_periods=m_periods, z0=z0)]
+                             n_max=n_decay[1]),
+           rho_from_modulus(mask, component, z0=z0),
+           rho_from_extremal(mask, component, n_list=extremal_ns, z0=z0)]
     if include_pencil:
         from .pencil import rho_min
         r = rho_min(mask)

@@ -54,7 +54,7 @@ __all__ = [
 ]
 
 TOL_RES = 1e-8          # relative residual bound of a certified eigenpair
-SHIFT_RTOL = 0.03       # the 2*pi*i/P shift is an O(h^2) symmetry of the pencil
+SHIFT_C = 0.04          # 2*pi*i/P shift mismatch bound per (h*|lambda|)^2
 MATCH_RTOL = 1e-6       # conjugation, reflection and translation are exact
 
 # spectrum: contour filter
@@ -434,10 +434,21 @@ def check_spectrum_symmetries(result: SpectrumResult) -> CheckReport:
     """Verify the structural symmetries of the computed spectrum.
 
     (1) no eigenvalue on the imaginary axis, (2) closure under
-    conjugation (to MATCH_RTOL) and under the vertical shift 2*pi*i/P
-    (to SHIFT_RTOL), (3) Spec(-D) = -Spec(D) by recomputation on the
-    reflected mask, (4) invariance under whole-cell translation.  The
-    recomputations use the boundary condition of the result.
+    conjugation (to MATCH_RTOL) and under the vertical shift 2*pi*i/P,
+    (3) Spec(-D) = -Spec(D) by recomputation on the reflected mask, (4)
+    invariance under whole-cell translation.  The recomputations use the
+    boundary condition of the result.
+
+    The shift is exact for the continuous pencil but only O(h^2) for the
+    discrete one, and its error grows with the eigenvalue: a pair (r, t)
+    matches to SHIFT_C * (h * max(|r|, |t|))^2 relative, h = max(hx, hy)
+    of the mask's grid; details['shift_coef'] is SHIFT_C * h^2.  The worst
+    measured mismatch is 0.033 (h * max|.|)^2: Strip(-pi/3, pi/3) in the
+    box (0.5, 4.5, -10, 10) at 64^2 to 128^2.  Over the strips of width
+    1.6, pi/2, 2*pi/3 and pi, Strip(-0.8, 0.8) - Disc(0.3, 0, 0.3) and the
+    torus less one cell, in the boxes (0.5, 4.5, -10, 10), (0.5, 8, -20,
+    20) and (4, 8, -10, 10) under both bc, it is 0.003 to 0.033, while
+    per plain h^2 it ranges from 0.3 to 6.7.
     """
     mask = result.domain
     P = mask.grid.spec.P
@@ -464,12 +475,15 @@ def check_spectrum_symmetries(result: SpectrumResult) -> CheckReport:
     details["conjugation_misses"] = conj_miss
 
     shift = 2j * np.pi / P
+    coef = SHIFT_C * max(mask.grid.hx, mask.grid.hy) ** 2
+    details["shift_coef"] = coef
     shift_miss = []
     margin = 0.05 * (im1 - im0)
     for r in vals:
         for s in (shift, -shift):
             t = r + s
-            if in_box(t, margin) and match(t, vals) > SHIFT_RTOL:
+            if (in_box(t, margin)
+                    and match(t, vals) > coef * max(abs(r), abs(t)) ** 2):
                 shift_miss.append((complex(r), complex(t)))
     details["shift_misses"] = shift_miss
 

@@ -214,29 +214,39 @@ def green_lrho(mask: DomainMask, rho: float, sources: Sequence,
     return GreenLrho(mask, rho, cells, cols, float(vmax), bool(sign_ok), bc)
 
 
+def _dirichlet_levels(mask: DomainMask, rho: float, f_levels: Sequence,
+                      bc: str) -> list:
+    """Solve L_rho q = 0 for each boundary data in f_levels on one
+    factorization of the mask's system."""
+    op, system = _lrho_system(mask, rho, bc)
+    sols = []
+    for f in f_levels:
+        data = f.values if isinstance(f, GridField) else np.asarray(f, dtype=float)
+        try:
+            u = system.solve(op.boundary_rhs(data))
+        except SolverFailure as exc:
+            raise RhoInSpectrum(f"Dirichlet solve failed at rho={rho}") from exc
+        vals = op.embed(np.real(u) if not np.iscomplexobj(data) else u)
+        sols.append(GridField(mask.grid, vals, {"kind": "dirichlet_lrho",
+                                                "rho": rho, "bc": bc}))
+    return sols
+
+
 def dirichlet_lrho(mask: DomainMask, rho: float, f,
                    bc: str = "face") -> GridField:
     """Solve L_rho q = 0 in the mask with boundary data f (values at
     outside cells; face traces under bc='face').  Unique whenever rho is
     not a pencil eigenvalue; singularity surfaces as RhoInSpectrum."""
-    data = f.values if isinstance(f, GridField) else np.asarray(f, dtype=float)
-    op, system = _lrho_system(mask, rho, bc)
-    rhs = op.boundary_rhs(data)
-    try:
-        u = system.solve(rhs)
-    except SolverFailure as exc:
-        raise RhoInSpectrum(f"Dirichlet solve failed at rho={rho}") from exc
-    vals = op.embed(np.real(u) if not np.iscomplexobj(data) else u)
-    return GridField(mask.grid, vals, {"kind": "dirichlet_lrho", "rho": rho,
-                                       "bc": bc})
+    return _dirichlet_levels(mask, rho, [f], bc)[0]
 
 
 def dirichlet_lrho_monotone(mask: DomainMask, rho: float,
                             f_levels: Sequence, bc: str = "face") -> GridField:
     """Generalized solution for semicontinuous data via a monotone
-    sequence of continuous levels (3 levels by default upstream); the
-    level solutions and their successive sups are reported in meta."""
-    sols = [dirichlet_lrho(mask, rho, f, bc=bc) for f in f_levels]
+    sequence of continuous levels (3 levels by default upstream), all
+    solved on one factorization; the level solutions and their
+    successive sups are reported in meta."""
+    sols = _dirichlet_levels(mask, rho, f_levels, bc)
     diffs = [float(np.max(np.abs(b.values - a.values)))
              for a, b in zip(sols, sols[1:])]
     out = sols[-1].copy()

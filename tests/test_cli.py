@@ -124,14 +124,10 @@ def test_rho_command_exports_the_estimators_martin_window(tmp_path, monkeypatch)
     assert counts["export_martin 1\n"] == counts[""]
 
 
-def test_rho_command_flags_estimates_with_a_reason(tmp_path, monkeypatch, capsys):
-    # the k=4 tube winds once in y over 4 periods in x, so its windows
-    # need 4 periods in y and at most 6 to the right; its one-period quad
-    # has oblique crosscuts
-    from logtorus import cli
-    estimates = cli.rho_estimates
-    monkeypatch.setattr(cli, "rho_estimates", lambda *a, **k: estimates(
-        *a, m_periods=4, n_decay=(3, 6), **k))
+def test_rho_command_flags_estimates_with_a_reason(tmp_path, capsys):
+    # the k=4 tube winds once in y over 4 periods in x; its windows take
+    # their y-periods from that class, and its one-period quad has oblique
+    # crosscuts
     tmp = str(tmp_path)
     shp = write(tmp, "tube.txt", "torus 0.6931471805599453 48 48\n"
                                  "+ tube 4 0 0.2\n")

@@ -6,16 +6,16 @@ import numpy as np
 import pytest
 from scipy import ndimage
 
-from logtorus.errors import NotSeparating, NotSimplyConnected
+from logtorus.errors import ConfigError, NotSeparating, NotSimplyConnected
 from logtorus.martin import (
-    OBLIQUE, _quad_modulus, beta_functional, consistency_table, martin_function,
+    OBLIQUE, _lift, _quad_modulus, beta_functional, consistency_table, martin_function,
     rho_estimates, rho_from_extremal, rho_from_growth, rho_from_hm_decay,
     rho_from_modulus,
 )
 from logtorus.operators import (LinearSystem, LogWindow, assemble,
                                 harmonic_measure_field, lift_window)
-from logtorus.torus import (Band, Disc, Grid, ShapeDifference, ShapeUnion,
-                            Strip, TorusSpec, Tube, build_domain)
+from logtorus.torus import (Band, Disc, Grid, Rect, ShapeDifference,
+                            ShapeUnion, Strip, TorusSpec, Tube, build_domain)
 
 LOG2 = float(np.log(2.0))
 SPEC = TorusSpec(LOG2)
@@ -132,6 +132,17 @@ def test_modulus_rejects_two_arcs():
         rho_from_modulus(joined, 0)
 
 
+def test_modulus_rejects_two_arcs_of_a_bounded_lift():
+    # the same two strips joined by a short rectangle: the lift is bounded
+    # in y, so the refusal comes from the two arcs on the x=0 slice
+    shape = ShapeUnion(ShapeUnion(Strip(-1.2, -0.4), Strip(0.4, 1.2)),
+                       Rect(0.2, 0.45, -0.6, 0.6))
+    joined = build_domain(SPEC, 64, 64, shape)
+    assert joined.n_components == 1
+    with pytest.raises(NotSeparating, match="2 arcs on the x=0 slice"):
+        rho_from_modulus(joined, 0)
+
+
 def test_five_estimator_consistency_sector():
     rho_hat = 2.0
     mask = sector_mask(rho_hat)
@@ -174,23 +185,57 @@ def test_estimates_without_base_point():
     assert consistency_table(ests)["max_rel_disagreement"] < 0.05
 
 
+def test_martin_base_point_must_lie_in_the_convergence_window():
+    # z0 in the outermost period is in the [-3, 3] window but not in the
+    # [-2, 2] one cut out of it
+    mask = build_domain(SPEC, 48, 48, Strip(-1.0, 1.0))
+    with pytest.raises(ConfigError):
+        martin_function(mask, 0, z0=(-2.5 * LOG2, 0.0), n=3)
+
+
 # -- direct reference ----------------------------------------------------
 # Each estimator must equal a plain solve on each of its windows: lift
 # the component, cut the window to its first columns, and solve there.
 # The references below are built from the public operators only.
 
-def lifted(mask, px_lo, px_hi, m_periods, z0):
-    py_lo = -(m_periods // 2)
-    return lift_window(mask, 0, px_lo, px_hi, py_lo, py_lo + m_periods,
-                       anchor=z0)
+def y_periods(mask, px_lo, px_hi):
+    """The y-periods a window over x-periods [px_lo, px_hi] takes: those
+    a strand of the component's winding class (k, l) crosses, plus one."""
+    spiral = mask.spiral_of(0)
+    s = spiral.y_winding / spiral.k if spiral.connected else 0.0
+    ys = (px_lo * s, px_hi * s)
+    return int(np.floor(min(ys))), int(np.ceil(max(ys))) + 1
 
 
-def base_cell(win, z0, column):
+def lifted(mask, px_lo, px_hi, height, z0):
+    """The lift on the tall y-periods [-height, height), through z0."""
+    return lift_window(mask, 0, px_lo, px_hi, -height, height, anchor=z0)
+
+
+def base_point(mask, px_lo, px_hi, z0, column):
+    """z0, or else the centre of the inside cell nearest the middle row
+    at `column` of the window the y-extent rule gives."""
     if z0 is not None:
-        return win.cell_of(*z0)
+        return z0
+    win = lift_window(mask, 0, px_lo, px_hi, *y_periods(mask, px_lo, px_hi))
     cells = np.argwhere(win.inside)
     d2 = (cells[:, 0] - win.shape[0] / 2.0) ** 2 + (cells[:, 1] - column) ** 2
-    return tuple(cells[np.argmin(d2)])
+    X, Y = win.meshgrid()
+    j, i = cells[np.argmin(d2)]
+    return X[j, i], Y[j, i]
+
+
+def off_y_edges(win):
+    """The piece stays off the window's first and last rows, which are
+    artificial Dirichlet edges."""
+    return not (win.inside[0].any() or win.inside[-1].any())
+
+
+def same_piece(win, ref):
+    """The windows hold the same piece once rows are aligned by py_lo."""
+    shift = (win.py_lo - ref.py_lo) * win.grid.ny
+    return np.array_equal(np.argwhere(win.inside) + [shift, 0],
+                          np.argwhere(ref.inside))
 
 
 def crosscut_omega(win, ncols):
@@ -229,11 +274,19 @@ def quad_distance(win, col1):
     return 1.0 / float((dx ** 2).sum() * hy / hx + (dy ** 2).sum() * hx / hy)
 
 
+# name: (n, shape, height of the reference windows' half, z0)
 REFERENCE_DOMAINS = {
     "strip": (48, Strip(-0.8, 0.8), 1, None),
     "strip_minus_disc": (48, ShapeDifference(Strip(-1.0, 1.0),
                                              Disc(0.35, 0.5, 0.25)), 1, (0.3, 0.0)),
     "tube_k4": (48, Tube(4, 0, 0.2), 4, (0.3, 0.68)),
+    # a base point near the bottom of its period: the rule's windows would
+    # cut the strand at their first row, so they gain a period below
+    "tube_k4_low": (48, Tube(4, 0, 0.2), 4, (0.513, -3.076)),
+    "tube_k4_none": (48, Tube(4, 0, 0.2), 4, None),
+    # [-4, 4] takes more y-periods than [-3, 3]: guards the row alignment
+    # of martin_function's two windows
+    "tube_k3": (48, Tube(3, 1, 0.25), 4, None),
 }
 
 
@@ -243,59 +296,103 @@ def assert_close(got, want):
 
 @pytest.mark.parametrize("name", list(REFERENCE_DOMAINS))
 def test_estimators_equal_the_direct_window_solves(name):
-    n, shape, m_periods, z0 = REFERENCE_DOMAINS[name]
+    n, shape, height, z0 = REFERENCE_DOMAINS[name]
     mask = build_domain(SPEC, n, n, shape)
     nx = mask.grid.nx
     P = mask.grid.spec.P
 
-    H = martin_function(mask, 0, z0=z0, n=4, m_periods=m_periods)
-    win = lifted(mask, -4, 4, m_periods, z0)
-    cell = base_cell(win, z0, win.shape[1] / 2.0)
+    H = martin_function(mask, 0, z0=z0, n=4)
+    z = base_point(mask, -4, 4, z0, 4 * nx)
+    win = lifted(mask, -4, 4, height, z)
+    cell = win.cell_of(*z)
     omega = crosscut_omega(win, win.shape[1])
-    assert np.array_equal(H.window.inside, win.inside)
-    assert H.z0 == cell
-    assert_close(H.values, np.where(win.inside, omega / omega[cell], 0.0))
+    lo, hi = y_periods(mask, -4, 4)
+    assert H.window.py_lo <= lo and H.window.py_hi >= hi
+    assert off_y_edges(H.window) and off_y_edges(win)
+    assert same_piece(H.window, win)
+    assert H.window.cell_of(*z) == H.z0
+    assert_close(H.values[H.window.inside], omega[win.inside] / omega[cell])
     assert_close(H.meta["omega_at_z0"], omega[cell])
+    # the convergence check against the [-3, 3] lift through z, on the
+    # middle third of its columns; on the tubes the change is at round-off
+    small = lifted(mask, -3, 3, height, z)
+    omega_s = crosscut_omega(small, small.shape[1])
+    mid = small.inside.copy()
+    mid[:, :small.shape[1] // 3] = mid[:, 2 * small.shape[1] // 3:] = False
+    Hs = omega_s[mid] / omega_s[small.cell_of(*z)]
+    Hb = (omega / omega[cell])[:, nx:-nx][mid]
+    np.testing.assert_allclose(H.meta["max_rel_change"],
+                               np.max(np.abs(Hb - Hs) / Hs), rtol=1e-10, atol=1e-12)
 
     # beta over the Martin window, from the centre of the base cell
-    X, Y = win.meshgrid()
     ns = range(1, 5)
-    rep = beta_functional(H.window, H.values, (X[cell], Y[cell]), ns)
+    rep = beta_functional(H.window, H.values, z, ns)
     seq = []
     for k in ns:
         col = (k + 4) * nx - 1
-        seq.append(H.values[:, col][win.inside[:, col]].max()
+        seq.append(omega[:, col][win.inside[:, col]].max() / omega[cell]
                    * crosscut_omega(win, col + 1)[cell])
     assert_close(rep["sequence"], seq)
 
-    d = rho_from_hm_decay(mask, 0, z0=z0, n_min=3, n_max=6,
-                          m_periods=m_periods)
-    win = lifted(mask, -4, 6, m_periods, z0)
-    cell = base_cell(win, z0, 4 * nx - nx // 2)
+    d = rho_from_hm_decay(mask, 0, z0=z0, n_min=3, n_max=8)
+    z = base_point(mask, -4, 8, z0, 4 * nx - nx // 2)
+    win = lifted(mask, -4, 8, height, z)
+    assert off_y_edges(win)
+    cell = win.cell_of(*z)
     assert_close(d.meta["omegas"], [crosscut_omega(win, (k + 4) * nx)[cell]
-                                    for k in range(3, 7)])
+                                    for k in range(3, 9)])
 
-    m = rho_from_modulus(mask, 0, m_periods=m_periods, z0=z0)
-    mod = quad_distance(lifted(mask, 0, 2, m_periods, z0), nx)
+    m = rho_from_modulus(mask, 0, z0=z0)
+    win = lifted(mask, 0, 2, height, base_point(mask, 0, 2, z0, nx))
+    assert off_y_edges(win)
+    mod = quad_distance(win, nx)
     assert_close(m.meta["modulus"], mod)
     assert_close(m.value, np.pi / P * mod)
 
-    e = rho_from_extremal(mask, 0, n_list=(2, 3, 4), m_periods=m_periods,
-                          z0=z0)
-    win = lifted(mask, 0, 5, m_periods, z0)
+    e = rho_from_extremal(mask, 0, n_list=(2, 3, 4), z0=z0)
+    win = lifted(mask, 0, 5, height, base_point(mask, 0, 5, z0, 2.5 * nx))
+    assert off_y_edges(win)
     assert_close(e.meta["distances"], [quad_distance(win, k * nx) for k in (2, 3, 4)])
+
+
+def test_strip_lifts_span_one_period_in_y():
+    # a strip's class is (1, 0): every window keeps today's single period
+    mask = build_domain(SPEC, 48, 48, Strip(-0.8, 0.8))
+    for px_lo, px_hi in ((-4, 4), (-4, 8), (0, 2), (0, 6)):
+        win, _ = _lift(mask, 0, px_lo, px_hi, None)
+        assert (win.py_lo, win.py_hi) == (0, 1)
+
+
+def test_lifts_gain_periods_until_the_piece_is_off_the_y_edges():
+    # z0 near y = -pi puts the strand at the bottom of period 0, so the
+    # rule's [0, 2) window for x-periods [0, 2] would cut it at row 0
+    mask = build_domain(SPEC, 48, 48, Tube(4, 0, 0.2))
+    z0 = (0.513, -3.076)
+    win, cell = _lift(mask, 0, 0, 2, z0)
+    assert y_periods(mask, 0, 2) == (0, 2)
+    assert (win.py_lo, win.py_hi) == (-1, 2)
+    assert off_y_edges(win) and cell == win.cell_of(*z0)
+
+
+def test_lift_unbounded_in_y_is_refused():
+    # a vertical band winds in y only: its lift reaches every window's
+    # y-edges, so no estimator window holds it
+    mask = build_domain(SPEC, 32, 32, Band(0.2, 0.5))
+    with pytest.raises(NotSeparating, match="not bounded in y"):
+        rho_from_modulus(mask, 0)
 
 
 @pytest.mark.parametrize("name,oblique", [("strip", False),
                                           ("strip_minus_disc", False),
-                                          ("tube_k4", True)])
+                                          ("tube_k4", True),
+                                          ("tube_k3", True)])
 def test_modulus_flags_oblique_crosscuts(name, oblique):
-    # the piece of the k=4 tube meets x=P on rows other than at x=0, so
+    # the piece of a winding tube meets x=P on rows other than at x=0, so
     # the one-period quad has oblique ends: the value is kept, and flagged
-    n, shape, m_periods, z0 = REFERENCE_DOMAINS[name]
+    n, shape, height, z0 = REFERENCE_DOMAINS[name]
     mask = build_domain(SPEC, n, n, shape)
-    m = rho_from_modulus(mask, 0, m_periods=m_periods, z0=z0)
-    win = lifted(mask, 0, 2, m_periods, z0)
+    m = rho_from_modulus(mask, 0, z0=z0)
+    win = lifted(mask, 0, 2, height, base_point(mask, 0, 2, z0, n))
     assert np.array_equal(win.inside[:, 0], win.inside[:, n]) != oblique
     assert m.meta.get("reason") == (OBLIQUE if oblique else None)
     assert_close(m.meta["modulus"], quad_distance(win, n))

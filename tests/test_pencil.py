@@ -98,6 +98,28 @@ def test_spectrum_symmetries_recompute_with_the_result_bc():
     assert details["translation_misses"] == []
 
 
+@pytest.mark.parametrize("n", [32, 48])
+@pytest.mark.parametrize("bc", ["face", "outside"])
+def test_shift_partners_match_to_an_h2_bound(n, bc):
+    # the shift partners of a correct coarse spectrum miss by about
+    # 0.022 (h |lambda|)^2 (0.062-0.073 at 32^2), more than a fixed 3 percent
+    mask = build_domain(SPEC, n, n, Strip(-0.8, 0.8))
+    res = spectrum(mask, (0.5, 4.5, -10.0, 10.0), bc=bc)
+    report = check_spectrum_symmetries(res)
+    assert report.passed, report.details
+    h = max(mask.grid.hx, mask.grid.hy)
+    assert report.details["shift_coef"] == pytest.approx(pencil.SHIFT_C * h * h)
+    # without the eigenvalue near pi/W on the real axis, its shift
+    # partner below the axis has nothing to match
+    vals = res.eigenvalues
+    drop = np.argmin(np.abs(vals - np.pi / 1.6))
+    keep = np.arange(len(vals)) != drop
+    cut = pencil.SpectrumResult(vals[keep],
+                                [f for f, k in zip(res.eigenfunctions, keep) if k],
+                                res.residuals[keep], mask, dict(res.meta))
+    assert check_spectrum_symmetries(cut).details["shift_misses"]
+
+
 def test_translation_leaves_spectrum_identical():
     mask = build_domain(SPEC, 64, 64, Strip(-np.pi / 4, np.pi / 4))
     moved = translate_mask(mask, 5, 9)

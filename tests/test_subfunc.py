@@ -7,6 +7,7 @@ import pytest
 
 from logtorus.errors import ArcTooWide, EpsTooSmall, RhoAboveCritical
 from logtorus.fundsol import GridMeasure, discrete_kernel, potential
+from logtorus.operators import LinearSystem
 from logtorus.oracles import strip_green_series, strip_majorant_profile
 from logtorus.pencil import rho_min
 from logtorus.subfunc import (
@@ -223,6 +224,26 @@ def test_dirichlet_monotone_levels():
     q = dirichlet_lrho_monotone(mask, 0.5, levels)
     assert q.meta["levels"] == 3
     assert all(d > 0 for d in np.abs(q.meta["level_diffs"]))
+
+
+def test_dirichlet_monotone_levels_share_one_factorization(monkeypatch):
+    mask = build_domain(SPEC, 48, 48, Strip(-np.pi / 2, np.pi / 2))
+    X, Y = mask.grid.meshgrid()
+    levels = [1.0 + 0.5 ** k * np.cos(Y) for k in range(3)]
+    direct = [dirichlet_lrho(mask, 0.5, f).values for f in levels]
+    diffs = [np.max(np.abs(b - a)) for a, b in zip(direct, direct[1:])]
+    factored = []
+    init = LinearSystem.__init__
+
+    def counted(self, op):
+        factored.append(op.ndof)
+        init(self, op)
+
+    monkeypatch.setattr(LinearSystem, "__init__", counted)
+    q = dirichlet_lrho_monotone(mask, 0.5, levels)
+    assert len(factored) == 1
+    np.testing.assert_allclose(q.values, direct[-1], rtol=0, atol=1e-12)
+    np.testing.assert_allclose(q.meta["level_diffs"], diffs, rtol=0, atol=1e-12)
 
 
 # ---------------------------------------------------------------- riesz/sweep
