@@ -65,6 +65,7 @@ __all__ = [
 
 LATTICE_C0 = 0.5615          # 5-point Green-function lattice constant
 INTEGER_GUARD = 1e-3
+MAX_SHIFTS = 400             # bound of the Weierstrass shift sum
 
 
 @dataclass
@@ -295,16 +296,16 @@ def _placeholder(rho, P, p, h):
     return (_regular_part_at_origin(rho, P, p) + np.log(LATTICE_C0 * h)) / TWO_PI
 
 
-def fundsol_weierstrass(rho: float, grid: Grid, tol: float = 1e-9,
-                        kmax: int = 400) -> GridField:
+def fundsol_weierstrass(rho: float, grid: Grid, tol: float = 1e-9) -> GridField:
     """Fundamental solution as the shift sum of genus-p log factors.
 
     Tails decay like e^{-(rho-p)kP} on the right and e^{-(p+1-rho)kP} on
-    the left; shifts are added until both fall below tol/10.
+    the left; shifts are added until both fall below tol/10, at most
+    MAX_SHIFTS of them.
     """
     _check_not_near_integer(rho)
     if rho < 0:
-        return _reflect(fundsol_weierstrass(-rho, grid, tol, kmax), rho)
+        return _reflect(fundsol_weierstrass(-rho, grid, tol), rho)
     P = grid.spec.P
     p = int(np.floor(rho))
     xs = np.arange(grid.nx) * grid.hx
@@ -312,8 +313,8 @@ def fundsol_weierstrass(rho: float, grid: Grid, tol: float = 1e-9,
     X, Y = np.meshgrid(xs, ys)
     vals = _weier_term(X, Y, p, rho)
     vals[0, 0] = 0.0
-    used = kmax
-    for k in range(1, kmax + 1):
+    used = MAX_SHIFTS
+    for k in range(1, MAX_SHIFTS + 1):
         tr = _weier_term(X + k * P, Y, p, rho)
         tl = _weier_term(X - k * P, Y, p, rho)
         vals += tr + tl

@@ -35,12 +35,16 @@ Windows cut from the x-covering plane use the same machinery without
 periodic wrap; their artificial edges are Dirichlet-0, and harmonic
 measure targets are interior crosscut cells clamped to 1.
 
-Clamping is a restriction by slicing: OperatorMatrix.restrict(clamp)
-keeps the rows and columns of the cells that stay free and turns the
-sliced-off columns into clamp couplings, and assemble(..., clamp=...)
-is the unclamped assembly restricted that way.  A caller that clamps
-many different sets (the obstacle solver) assembles once and restricts
-per set.
+Every cell whose value moves to the right-hand side sits in one
+coupling list: outside cells linked to an inside cell, and inside cells
+clamped to data.  Clamping is a restriction by slicing:
+OperatorMatrix.restrict(clamp) keeps the rows and columns of the cells
+that stay free and appends the sliced-off columns to the coupling list.
+Outside and clamped cells are disjoint, so boundary_rhs reads one data
+array over all cells.  A caller that clamps many different sets (the
+obstacle solver) assembles once and restricts per set, and the
+bc='outside' operator of a torus mask is the whole-torus operator
+restricted to the mask's complement.
 
 Period chains.  The Laplacian of a covering window is block tridiagonal
 across its period blocks of nx columns (Buzbee-Golub-Nielson block
@@ -63,7 +67,7 @@ estimator call.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -191,54 +195,45 @@ def region_of(domain) -> Region:
 class OperatorMatrix:
     """Sparse operator over the free inside cells of a region.
 
-    dof_index maps cells to unknown numbers (-1 elsewhere).  Boundary
-    coupling records, per Dirichlet neighbor link, the row, the flat cell
-    index of the data cell, and the coefficient with which the data value
-    enters the equation; apply it via boundary_rhs().
+    dof_index maps cells to unknown numbers (-1 elsewhere), free marks
+    the cells that have one.  The coupling list records, per link from a
+    row to a cell that is not an unknown (an outside cell, or an inside
+    cell clamped by restrict), the row, the flat index of that cell, and
+    the coefficient with which its value enters the equation; apply it
+    via boundary_rhs().
     """
 
     matrix: sparse.csr_matrix
-    kind: str
-    rho: complex
-    bc: str
-    domain: object
-    region: Region
     dof_index: np.ndarray
     free: np.ndarray
     coup_rows: np.ndarray
     coup_cells: np.ndarray
     coup_vals: np.ndarray
-    clamp_rows: np.ndarray
-    clamp_cells: np.ndarray
-    clamp_vals: np.ndarray
 
     @property
     def ndof(self) -> int:
         return self.matrix.shape[0]
 
-    def boundary_rhs(self, data: Optional[np.ndarray] = None,
-                     clamp_data: Optional[np.ndarray] = None) -> np.ndarray:
-        """RHS contribution moving Dirichlet data to the right-hand side.
+    def boundary_rhs(self, data: np.ndarray) -> np.ndarray:
+        """RHS contribution moving the coupled cells' values to the
+        right-hand side.
 
-        data is read at outside cells (center or face trace depending on
-        bc); clamp_data at clamped interior cells.
+        data is an array over all cells, read at every cell of the
+        coupling list: outside cells (center or face trace depending on
+        bc) and clamped cells alike.
         """
         rhs = np.zeros(self.ndof, dtype=self.matrix.dtype)
-        if data is not None and self.coup_rows.size:
-            vals = self.coup_vals * np.asarray(data).ravel()[self.coup_cells]
-            np.add.at(rhs, self.coup_rows, -vals)
-        if clamp_data is not None and self.clamp_rows.size:
-            vals = self.clamp_vals * np.asarray(clamp_data).ravel()[self.clamp_cells]
-            np.add.at(rhs, self.clamp_rows, -vals)
+        vals = self.coup_vals * np.asarray(data).ravel()[self.coup_cells]
+        np.add.at(rhs, self.coup_rows, -vals)
         return rhs
 
     def restrict(self, clamp: np.ndarray) -> "OperatorMatrix":
         """The operator with the free cells in clamp fixed to data.
 
         Rows and columns of the cells that stay free are sliced out of
-        this matrix; the sliced-off columns become clamp couplings, read
-        through boundary_rhs(clamp_data=...).  Cells of clamp that are
-        not free are ignored.
+        this matrix; the sliced-off columns join the coupling list, read
+        through boundary_rhs().  Cells of clamp that are not free are
+        ignored.
         """
         cells = np.flatnonzero(self.free)           # dof -> flat cell
         keep = ~np.asarray(clamp, dtype=bool).ravel()[cells]
@@ -251,24 +246,16 @@ class OperatorMatrix:
         free.ravel()[cells[keep]] = True
         dof_index = -np.ones(free.shape, dtype=np.int64)
         dof_index[free] = np.arange(int(keep.sum()))
-
-        def kept(r, c, v):
-            on = keep[r]
-            return renum[r[on]], c[on], v[on]
-
-        coup = kept(self.coup_rows, self.coup_cells, self.coup_vals)
-        old = kept(self.clamp_rows, self.clamp_cells, self.clamp_vals)
-        return replace(
-            self, matrix=rows[:, keep], dof_index=dof_index, free=free,
-            coup_rows=coup[0], coup_cells=coup[1], coup_vals=coup[2],
-            clamp_rows=np.concatenate([old[0], fc.row.astype(np.int64)]),
-            clamp_cells=np.concatenate([old[1], cells[~keep][fc.col]]),
-            clamp_vals=np.concatenate([old[2], fc.data]))
+        on = keep[self.coup_rows]
+        return OperatorMatrix(
+            rows[:, keep], dof_index, free,
+            np.concatenate([renum[self.coup_rows[on]], fc.row.astype(np.int64)]),
+            np.concatenate([self.coup_cells[on], cells[~keep][fc.col]]),
+            np.concatenate([self.coup_vals[on], fc.data]))
 
     def embed(self, u: np.ndarray, fill=0.0) -> np.ndarray:
         """Scatter a dof vector back to the full cell array."""
-        out = np.full(self.region.inside.shape, fill,
-                      dtype=np.result_type(u.dtype, float))
+        out = np.full(self.free.shape, fill, dtype=np.result_type(u.dtype, float))
         out[self.free] = u
         return out
 
@@ -353,24 +340,19 @@ def _stencil(region: Region, kind: str, rho: complex, bc: str):
 
 
 def assemble(domain, kind: str = "l_rho", rho: complex = 0.0,
-             bc: str = "face", clamp: Optional[np.ndarray] = None) -> OperatorMatrix:
+             bc: str = "face") -> OperatorMatrix:
     """Assemble a discrete operator over a Grid, DomainMask, or LogWindow.
 
     One stencil pass builds the matrix and the Dirichlet coupling of
     kind 'laplacian', 'd_dx' or 'l_rho' (see the module docstring);
-    l_rho equals laplacian + 2*rho*d_dx + rho^2*I exactly.  With clamp,
-    the result is the unclamped operator restricted by
-    OperatorMatrix.restrict(clamp).
+    l_rho equals laplacian + 2*rho*d_dx + rho^2*I exactly.  Clamp cells
+    with OperatorMatrix.restrict.
     """
     if kind not in _KINDS:
         raise ConfigError(f"kind must be one of {_KINDS}")
     region = region_of(domain)
     A, coup, idx = _stencil(region, kind, rho, bc)
-    none = np.zeros(0, dtype=np.int64)
-    op = OperatorMatrix(A, kind, rho, bc, domain, region, idx, region.inside,
-                        coup[0], coup[1], coup[2], none, none,
-                        np.zeros(0, dtype=A.dtype))
-    return op if clamp is None else op.restrict(clamp)
+    return OperatorMatrix(A, idx, region.inside, *coup)
 
 
 class LinearSystem:
@@ -551,29 +533,24 @@ class ChainSweep:
         return self.window.hx * self.window.hy * float(flux)
 
 
+def _field_domain(domain):
+    """What a solution field lives on: a mask's torus grid, or the
+    window itself."""
+    return domain.grid if isinstance(domain, DomainMask) else domain
+
+
 def solve_dirichlet(domain, boundary_data, bc: str = "face") -> GridField:
     """Solve the Laplace Dirichlet problem on a mask or window.
 
     boundary_data: array over all cells, read at outside cells adjacent to
     the interior (cell-center values for bc='outside', face traces for
-    bc='face').  Returns the discrete-harmonic field, zero outside, with
-    the solve residual in meta.
+    bc='face').  Returns the discrete-harmonic field, zero outside.
     """
     data = boundary_data.values if isinstance(boundary_data, GridField) else boundary_data
     op = assemble(domain, "laplacian", bc=bc)
-    rhs = op.boundary_rhs(np.asarray(data, dtype=float))
-    u = LinearSystem(op).solve(rhs)
-    values = op.embed(u)
-    meta = {"kind": "laplace_dirichlet", "bc": bc}
-    if isinstance(domain, DomainMask):
-        return GridField(domain.grid, values, meta)
-    return _window_field(domain, values, meta)
-
-
-def _window_field(window, values, meta):
-    f = GridField.__new__(GridField)
-    f.grid, f.values, f.meta = window, values, meta
-    return f
+    u = LinearSystem(op).solve(op.boundary_rhs(np.asarray(data, dtype=float)))
+    return GridField(_field_domain(domain), op.embed(u),
+                     {"kind": "laplace_dirichlet", "bc": bc})
 
 
 def harmonic_measure_field(domain, target: np.ndarray, bc: str = "face"):
@@ -590,25 +567,17 @@ def harmonic_measure_field(domain, target: np.ndarray, bc: str = "face"):
     if not target.any():
         raise TargetEmpty("harmonic-measure target is empty")
     clamp = target & region.inside
-    op = assemble(domain, "laplacian", bc=bc,
-                  clamp=clamp if clamp.any() else None)
-    data = np.where(target & ~region.inside, 1.0, 0.0)
-    clamp_data = np.where(clamp, 1.0, 0.0)
-    rhs = op.boundary_rhs(data, clamp_data)
-    u = LinearSystem(op).solve(rhs)
+    op = assemble(domain, "laplacian", bc=bc).restrict(clamp)
+    u = LinearSystem(op).solve(op.boundary_rhs(np.where(target, 1.0, 0.0)))
     values = op.embed(u)
     values[clamp] = 1.0
-    meta = {"kind": "harmonic_measure", "bc": bc}
-    if isinstance(domain, DomainMask):
-        return GridField(domain.grid, values, meta)
-    return _window_field(domain, values, meta)
+    return GridField(_field_domain(domain), values,
+                     {"kind": "harmonic_measure", "bc": bc})
 
 
 def cell_of(domain, x: float, y: float) -> tuple:
     """(j, i) cell index of a point in a mask's torus or a window."""
-    if isinstance(domain, DomainMask):
-        return domain.grid.cell_of(x, y)
-    return domain.cell_of(x, y)
+    return _field_domain(domain).cell_of(x, y)
 
 
 def harmonic_measure(domain, target: np.ndarray, z0: tuple,

@@ -528,11 +528,10 @@ def check_monotonicity(mask1: DomainMask, mask2: DomainMask,
 
 
 def check_shrinking_limit(masks: Sequence[DomainMask], mask_limit: DomainMask,
-                          compact: Optional[np.ndarray] = None,
                           bc: str = "face", rtol: float = 0.05) -> CheckReport:
     """rho(D_n) decreases along an increasing exhaustion D_n up to D and
     approaches rho(D); normalized eigenfunctions converge on a fixed
-    compact sub-mask."""
+    compact sub-mask, the first mask eroded by two cells."""
     values, fields = [], []
     for m in masks:
         r = rho_min(m, bc=bc, full_result=True)
@@ -545,8 +544,7 @@ def check_shrinking_limit(masks: Sequence[DomainMask], mask_limit: DomainMask,
     approaches = (values[-1] is not None and r_lim is not None
                   and abs(values[-1] - r_lim) <= rtol * abs(r_lim))
     sup_diffs = []
-    if compact is None:
-        compact = erode_periodic(masks[0].inside, 2)
+    compact = erode_periodic(masks[0].inside, 2)
     for a, b in zip(fields[:-1], fields[1:]):
         if a is None or b is None:
             continue

@@ -33,6 +33,9 @@ __all__ = [
     "fundamental_relation_residual",
 ]
 
+LIFT_PERIODS = 3         # x-periods of the covering window in lift_check
+GREEN_SIGN_TOL = 1e-10   # largest Green value, per unit of the largest |value|
+
 
 # ----------------------------------------------------------------------
 # certificates
@@ -80,21 +83,21 @@ def is_subfunction(v: GridField, rho: float, tol: float = 1e-6) -> SubfunctionCe
     return SubfunctionCertificate(v, rho, nu, min_mass, thr, verdict)
 
 
-def lift_check(v: GridField, rho: float, n_periods: int = 3,
-               tol: float = 1e-6) -> dict:
-    """Lift v to V = v * e^{rho x} on an x-covering window and verify the
-    two structural properties of the lift: multiplicative periodicity
-    V(x+P, y) = e^{rho P} V(x, y) (exact by construction; reported as a
-    round-off check) and discrete subharmonicity of V wherever v is
-    certified.  Also reports the interior-maximum principle: a certified
-    nonconstant subfunction has a positive global maximum.
+def lift_check(v: GridField, rho: float, tol: float = 1e-6) -> dict:
+    """Lift v to V = v * e^{rho x} on an x-covering window of LIFT_PERIODS
+    periods and verify the two structural properties of the lift:
+    multiplicative periodicity V(x+P, y) = e^{rho P} V(x, y) (exact by
+    construction; reported as a round-off check) and discrete
+    subharmonicity of V wherever v is certified.  Also reports the
+    interior-maximum principle: a certified nonconstant subfunction has
+    a positive global maximum.
     """
     grid = v.grid
     P = grid.spec.P
     nx, ny = grid.nx, grid.ny
     xs = np.concatenate([(np.arange(nx) + 0.5) * grid.hx + k * P
-                         for k in range(n_periods)])
-    V = np.tile(v.values, (1, n_periods)) * np.exp(rho * xs)[None, :]
+                         for k in range(LIFT_PERIODS)])
+    V = np.tile(v.values, (1, LIFT_PERIODS)) * np.exp(rho * xs)[None, :]
     ratio = V[:, nx:] / np.where(V[:, :-nx] == 0.0, np.nan, V[:, :-nx])
     with np.errstate(invalid="ignore"):
         per_err = np.nanmax(np.abs(ratio - np.exp(rho * P)))
@@ -165,27 +168,25 @@ class GreenLrho:
     bc: str
 
 
-def _lrho_system(mask: DomainMask, rho: float, bc: str) -> tuple:
-    op = assemble(mask, "l_rho", rho=rho, bc=bc)
+def _lrho_system(op, rho: float) -> LinearSystem:
     try:
-        system = LinearSystem(op)
+        return LinearSystem(op)
     except SolverFailure as exc:
         raise RhoInSpectrum(f"L_rho system singular at rho={rho}") from exc
-    return op, system
 
 
 def green_lrho(mask: DomainMask, rho: float, sources: Sequence,
-               bc: str = "face", sign_tol: float = 1e-10,
-               allow_sign_violation: bool = False) -> GreenLrho:
+               bc: str = "face", allow_sign_violation: bool = False) -> GreenLrho:
     """Green columns g(., zeta) of L_rho on a mask: unit Dirac mass at
     each source, zero boundary values.
 
     For 0 < rho < rho(D) every column is nonpositive; a positive value
-    beyond sign_tol raises RhoAboveCritical unless explicitly allowed.
+    beyond GREEN_SIGN_TOL raises RhoAboveCritical unless explicitly allowed.
     """
     if rho <= 0 and rho != 0.0:
         raise ConfigError("green_lrho expects rho >= 0")
-    op, system = _lrho_system(mask, rho, bc)
+    op = assemble(mask, "l_rho", rho=rho, bc=bc)
+    system = _lrho_system(op, rho)
     grid = mask.grid
     cols, cells = [], []
     vmax = -np.inf
@@ -206,7 +207,7 @@ def green_lrho(mask: DomainMask, rho: float, sources: Sequence,
         cols.append(GridField(grid, vals, {"kind": "green_lrho", "rho": rho,
                                            "source": (j, i), "bc": bc}))
     scale = max(abs(c.values).max() for c in cols)
-    sign_ok = vmax <= sign_tol * (1.0 + scale)
+    sign_ok = vmax <= GREEN_SIGN_TOL * (1.0 + scale)
     if not sign_ok and not allow_sign_violation:
         raise RhoAboveCritical(
             f"green column positive (max {vmax:.3e}); rho={rho} is at or "
@@ -218,7 +219,8 @@ def _dirichlet_levels(mask: DomainMask, rho: float, f_levels: Sequence,
                       bc: str) -> list:
     """Solve L_rho q = 0 for each boundary data in f_levels on one
     factorization of the mask's system."""
-    op, system = _lrho_system(mask, rho, bc)
+    op = assemble(mask, "l_rho", rho=rho, bc=bc)
+    system = _lrho_system(op, rho)
     sols = []
     for f in f_levels:
         data = f.values if isinstance(f, GridField) else np.asarray(f, dtype=float)
@@ -266,14 +268,15 @@ def riesz_decompose(v: GridField, mask: DomainMask, rho: float):
 
     Uses the outside-center Dirichlet convention throughout, which makes
     the three pieces satisfy the reconstruction identity exactly: the
-    whole-torus stencil at a near-boundary cell is the masked stencil
-    plus the data coupling.
+    mask's operator is the whole-torus operator restricted to the
+    inside cells, and the sliced-off links are the data coupling.
     """
     grid = v.grid
     full = assemble(grid, "l_rho", rho=rho)
     dens = (full.matrix @ v.values.ravel()).reshape(grid.shape)
-    op, system = _lrho_system(mask, rho, "outside")
     inside = mask.inside
+    op = full.restrict(~inside)
+    system = _lrho_system(op, rho)
     rhs_pi = dens[inside]
     try:
         pi_dof = system.solve(rhs_pi)
@@ -290,8 +293,7 @@ def riesz_decompose(v: GridField, mask: DomainMask, rho: float):
     return q, pi
 
 
-def sweep(v: GridField, mask: Optional[DomainMask], rho: float,
-          check_critical: Optional[float] = None) -> GridField:
+def sweep(v: GridField, mask: Optional[DomainMask], rho: float) -> GridField:
     """Sweeping: replace v inside the mask by its least L_rho-majorant
     (the Dirichlet solution with v's boundary values), keep v outside.
     An empty sweep region (mask=None) returns v unchanged.
@@ -303,8 +305,6 @@ def sweep(v: GridField, mask: Optional[DomainMask], rho: float,
     """
     if mask is None:
         return v.copy()
-    if check_critical is not None and rho >= check_critical:
-        raise RhoAboveCritical(f"rho={rho} >= rho(D)={check_critical}")
     q = dirichlet_lrho(mask, rho, v, bc="outside")
     out = np.where(mask.inside, q.values, v.values)
     return GridField(v.grid, out, {"kind": "sweep", "rho": rho})
@@ -390,10 +390,9 @@ def tc_majorant(h: TrigIndicator, alpha: float, beta: float) -> TrigIndicator:
 
 
 def fundamental_relation_residual(h: TrigIndicator, n_triples: int = 1000,
-                                  seed: int = 0,
-                                  window_margin: Optional[float] = None) -> float:
+                                  seed: int = 0) -> float:
     """Max over sampled triples phi1 < phi2 < phi3 (inside a window of
-    width < pi/rho) of
+    width pi/rho less ten samples) of
 
       h(p1) sin(rho(p2-p3)) + h(p2) sin(rho(p3-p1)) + h(p3) sin(rho(p1-p2)),
 
@@ -403,8 +402,7 @@ def fundamental_relation_residual(h: TrigIndicator, n_triples: int = 1000,
     contaminate the residual at O(htheta^2))."""
     rho = h.rho
     rng = np.random.default_rng(seed)
-    margin = window_margin if window_margin is not None else 10.0 * h.h_theta
-    width = np.pi / rho - margin
+    width = np.pi / rho - 10.0 * h.h_theta
     w_cells = int(width / h.h_theta)
     if w_cells < 3:
         raise ConfigError("window too narrow for triples")

@@ -78,6 +78,8 @@ def _pgs_halfsweeps(A, diag, v, m, color_masks, omega=0.8, sweeps=4):
 
 # the half grid of a warm start keeps at least this many cells per side
 _MIN_COARSE = 32
+# relative band of lambda*rho around 1 that existence_test calls borderline
+EXISTENCE_MARGIN = 0.02
 
 
 def _tolerances(grid: Grid, mv: np.ndarray, rho: float, tol: float) -> tuple:
@@ -135,8 +137,7 @@ def _active_set(grid: Grid, mv: np.ndarray, rho: float, tol: float,
             try:
                 op = op_full.restrict(active)
                 rec["factorizations"] += 1
-                u = LinearSystem(op).solve(op.boundary_rhs(None, clamp_data=mv),
-                                           rel_tol=1e-8)
+                u = LinearSystem(op).solve(op.boundary_rhs(mv), rel_tol=1e-8)
             except (SolverFailure, EmptyInterior) as exc:
                 stop = "solve_failed"
                 rec["reason"] = (f"active-set solve failed at iteration "
@@ -315,12 +316,11 @@ class ExistenceReport:
     details: dict = field(default_factory=dict)
 
 
-def existence_test(m: GridField, rho: float,
-                   rel_margin: float = 0.02) -> ExistenceReport:
+def existence_test(m: GridField, rho: float) -> ExistenceReport:
     """Classify existence of a nonzero subminorant for the obstacle m.
 
     guaranteed: m >= 0 everywhere and the positivity set has a component
-    with rho(D) < rho (strict, beyond the margin).  excluded: even the
+    with rho(D) < rho (strict, beyond EXISTENCE_MARGIN).  excluded: even the
     one-cell dilation of the positivity set has lambda < 1/rho.
     borderline: lambda * rho sits inside the margin band (the critical
     case, sensitive to the boundary behavior of m).  Everything else is
@@ -338,11 +338,11 @@ def existence_test(m: GridField, rho: float,
     lam = lambda_value(pos, grid=grid, bounds=True)
     t = lam.value * rho
     t_outer = (lam.outer if lam.outer is not None else lam.value) * rho
-    if t_outer < 1.0 - rel_margin:
+    if t_outer < 1.0 - EXISTENCE_MARGIN:
         verdict = "excluded"
-    elif nonneg and t > 1.0 + rel_margin:
+    elif nonneg and t > 1.0 + EXISTENCE_MARGIN:
         verdict = "guaranteed"
-    elif abs(t - 1.0) <= rel_margin:
+    elif abs(t - 1.0) <= EXISTENCE_MARGIN:
         verdict = "borderline"
     else:
         verdict = "inconclusive"

@@ -198,7 +198,10 @@ class Tube(ShapeExpr):
         y = (2*pi/(k*P)) * x + (l + m) * 2*pi/k,   m in Z,
     which is invariant under both torus deck translations; its winding
     class is (k, 1), so the minimal loop winding detected in the tube is
-    exactly k once eps keeps neighboring strands disjoint.
+    exactly k once eps keeps neighboring strands disjoint.  An integer
+    phase l is the deck translation x -> x - l*P, which maps the family
+    onto itself, so it does not move the tube and every l gives the same
+    set; the shape format still requires it.
     """
     k: int
     l: int
@@ -442,11 +445,9 @@ def mask_from_inside(grid: Grid, inside: np.ndarray,
         raise EmptyDomain("no inside cells")
     if inside.all():
         raise AllCellsInside("complement is empty; boundary has no grid support")
-    labels, n, _ = _label_periodic(inside)
-    mask = DomainMask(grid, inside, labels, n)
-    if classify:
-        mask = DomainMask(grid, inside, labels, n, classify_spiral(mask))
-    return mask
+    labels, n, windings = _label_periodic(inside)
+    spiral = tuple(_spiral_class(w) for w in windings) if classify else ()
+    return DomainMask(grid, inside, labels, n, spiral)
 
 
 def build_domain(spec: TorusSpec, nx: int, ny: int, shape: ShapeExpr,
@@ -459,13 +460,13 @@ def build_domain(spec: TorusSpec, nx: int, ny: int, shape: ShapeExpr,
 
 
 def components(mask: DomainMask) -> list:
-    """Split a mask into one single-component mask per label."""
+    """Split a mask into one single-component mask per label, sliced
+    from the parent's labels."""
     out = []
     for c in range(mask.n_components):
-        sub = mask_from_inside(mask.grid, mask.component_mask(c), classify=False)
+        sub = mask.component_mask(c)
         spiral = (mask.spiral[c],) if mask.spiral else ()
-        out.append(DomainMask(sub.grid, sub.inside, sub.labels,
-                              sub.n_components, spiral))
+        out.append(DomainMask(mask.grid, sub, np.where(sub, 0, -1), 1, spiral))
     return out
 
 

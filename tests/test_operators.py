@@ -13,7 +13,7 @@ from logtorus.operators import (
     LinearSystem, LogWindow, PeriodChain, assemble, harmonic_measure,
     harmonic_measure_field, lift_window, region_of, solve_dirichlet,
 )
-from logtorus.torus import (Disc, Grid, Strip, TorusSpec, build_domain,
+from logtorus.torus import (Disc, Grid, Strip, TorusSpec, Tube, build_domain,
                             mask_from_inside)
 
 LOG2 = float(np.log(2.0))
@@ -262,17 +262,32 @@ def test_clamped_rows_reproduce_unclamped_rows(case):
     full = assemble(domain, kind, rho=0.9, bc=bc)
     shape = full.free.shape
     clamp = rng.random(shape) < 0.3
-    op = assemble(domain, kind, rho=0.9, bc=bc, clamp=clamp)
+    op = full.restrict(clamp)
     # free and dof_index: the unclamped free cells minus the clamp
     assert np.array_equal(op.free, full.free & ~clamp)
     assert np.array_equal(op.dof_index[op.free], np.arange(op.ndof))
     assert np.all(op.dof_index[~op.free] == -1)
+    # one array: unknowns at free cells, data at outside and clamped ones
     u = rng.standard_normal(shape)
-    data = rng.standard_normal(shape)
-    want = full.matrix @ u[full.free] - full.boundary_rhs(data)
-    got = op.matrix @ u[op.free] - op.boundary_rhs(data, clamp_data=u)
+    want = full.matrix @ u[full.free] - full.boundary_rhs(u)
+    got = op.matrix @ u[op.free] - op.boundary_rhs(u)
     want = want[full.dof_index[op.free]]
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("shape", [Strip(-1.0, 1.2), Disc(0.35, 0.2, 1.0),
+                                   Strip(-1.0, 1.0) - Disc(0.3, 0.0, 0.4),
+                                   Tube(3, 0, 0.15)],
+                         ids=["strip", "disc", "strip_minus_disc", "tube"])
+@pytest.mark.parametrize("rho", [0.0, 0.9])
+def test_torus_operator_restricted_to_a_mask_is_its_outside_operator(shape, rho):
+    mask = build_domain(SPEC, 24, 32, shape, classify=False)
+    want = assemble(mask, "l_rho", rho=rho, bc="outside")
+    got = assemble(mask.grid, "l_rho", rho=rho).restrict(~mask.inside)
+    assert (got.matrix != want.matrix).nnz == 0
+    assert np.array_equal(got.dof_index, want.dof_index)
+    data = np.random.default_rng(0).standard_normal(mask.inside.shape)
+    assert np.array_equal(got.boundary_rhs(data), want.boundary_rhs(data))
 
 
 def test_solve_checks_the_residual_of_every_column(monkeypatch):

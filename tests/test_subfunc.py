@@ -295,8 +295,6 @@ def test_sweep_identity_idempotence_monotonicity_certificate():
     assert is_subfunction(s1, rho).is_subfunction
     assert sweep(v1, None, rho).values is not v1.values
     assert np.array_equal(sweep(v1, None, rho).values, v1.values)
-    with pytest.raises(RhoAboveCritical):
-        sweep(v1, mask, rho, check_critical=0.4)
 
 
 def test_sweep_on_strip_matches_tc_majorant_profile():

@@ -79,6 +79,10 @@ def test_tube_detects_construction_winding(k, nx, ny, eps):
     assert sc.k == k
     assert sc.y_winding == 1
     assert sc.conclusive
+    # the phase l renumbers the strands and does not move the tube
+    for l in range(1, k):
+        other = build_domain(spec, nx, ny, Tube(k, l, eps), classify=False)
+        assert np.array_equal(other.inside, mask.inside)
 
 
 def test_crossing_tubes_reduce_y_winding_mod_d():
