@@ -33,12 +33,15 @@ on spirals; a side then gains a period at a time while the piece
 through the base cell reaches its first or last row.  martin_function
 lifts once: its [-n+1, n-1] convergence window is the base cell's piece
 of the [-n, n] window's inner columns, on the same rows.  Both solves
-run on operators.PeriodChain: each public estimator call builds one
-chain, so each period-block pattern is factored once per call and
-dropped when it returns.  hm_decay and beta_functional read every
-crosscut from one sweep of their window, and martin_function's two
-windows share one chain; a quad's energy is the DtN quadratic form of
-its 0/1 crosscut data on a 'neumann' chain, so no quad needs a field.
+run on operators.PeriodChain.  rho_estimates hands one 'face' chain
+to the private cores of martin_function and hm_decay, drops it, and
+hands one 'neumann' chain to those of modulus and extremal, so each
+period-block pattern is factored once per boundary rule and call, and
+no chain outlives the call.  A public estimator called on its own
+builds its own chain.  hm_decay and beta_functional read every crosscut
+from one sweep of their window, and martin_function's two windows share
+one chain; a quad's energy is the DtN quadratic form of its 0/1
+crosscut data on a 'neumann' chain, so no quad needs a field.
 hm_decay windows start LEFT_PERIODS periods left of x = 0; every slope
 fit must reach R^2 >= R2_MIN.
 """
@@ -191,6 +194,12 @@ def martin_function(mask: DomainMask, component: int = 0,
     of the first: the piece through z0 of its columns [nx:-nx], on the
     same rows, so the two fields stay row-aligned.
     """
+    return _martin(PeriodChain("face"), mask, component, z0, n)
+
+
+def _martin(chain: PeriodChain, mask: DomainMask, component: int,
+            z0: Optional[tuple], n: int) -> MartinApprox:
+    """martin_function on a 'face' chain the caller owns."""
     if n < 3:
         raise ConfigError("need n >= 3 periods")
     win, z0_cell = _lift(mask, component, -n, n, z0)
@@ -202,7 +211,6 @@ def martin_function(mask: DomainMask, component: int = 0,
     labels, _ = ndimage.label(cut)
     small = LogWindow(win.grid, -(n - 1), n - 1, win.py_lo, win.py_hi,
                       labels == labels[z0s])
-    chain = PeriodChain("face")
     om, om_s = (sweep.field(_crosscut_measure(sweep, len(sweep.blocks)))
                 for sweep in (chain.sweep(win), chain.sweep(small)))
     if om[z0_cell] <= 0 or om_s[z0s] <= 0:
@@ -256,11 +264,17 @@ def rho_from_hm_decay(mask: DomainMask, component: int = 0,
     the two-sided band check omega * e^{rho n P} confined to a fixed
     ratio band.  The crosscut windows span [-LEFT_PERIODS, n] periods;
     the default z0 is the middle of period [-1, 0]."""
+    return _hm_decay(PeriodChain("face"), mask, component, z0, n_min, n_max)
+
+
+def _hm_decay(chain: PeriodChain, mask: DomainMask, component: int,
+              z0: Optional[tuple], n_min: int, n_max: int) -> RhoEstimate:
+    """rho_from_hm_decay on a 'face' chain the caller owns."""
     nx = mask.grid.nx
     win, z0_cell = _lift(mask, component, -LEFT_PERIODS, n_max, z0,
                          column=LEFT_PERIODS * nx - nx // 2)
     P = mask.grid.spec.P
-    sweep = PeriodChain("face").sweep(win)
+    sweep = chain.sweep(win)
     ns, omegas = [], []
     for nn in range(n_min, n_max + 1):
         w = sweep.value(_crosscut_measure(sweep, nn + LEFT_PERIODS), z0_cell)
@@ -283,15 +297,15 @@ def rho_from_hm_decay(mask: DomainMask, component: int = 0,
 
 
 def _quad_modulus(window: LogWindow, col0: int, col1: int,
-                  chain: Optional[PeriodChain] = None) -> float:
+                  chain: PeriodChain) -> float:
     """Conformal modulus of the quadrilateral between two crosscut
     columns, a whole number of periods apart, by the Dirichlet-energy
     method: potential 0 / 1 on the crosscuts, insulated sides; modulus =
     1/energy, the energy being the DtN quadratic form of the 0/1 data on
-    a neumann chain (by default a fresh one).  The P x W rectangle yields
-    exactly P/W under this convention.  When the columns cut the window
-    into pieces, the largest piece is the quadrilateral, provided it holds
-    at least half of the cells."""
+    the 'neumann' chain.  The P x W rectangle yields exactly P/W under
+    this convention.  When the columns cut the window into pieces, the
+    largest piece is the quadrilateral, provided it holds at least half
+    of the cells."""
     nblocks, rest = divmod(col1 - col0, window.grid.nx)
     if nblocks < 1 or rest:
         raise ConfigError("crosscuts must be a whole number of periods apart")
@@ -310,7 +324,6 @@ def _quad_modulus(window: LogWindow, col0: int, col1: int,
         raise NotSimplyConnected("degenerate quadrilateral energy")
     blocks = LogWindow(window.grid, window.px_lo, window.px_lo + nblocks,
                        window.py_lo, window.py_hi, inside[:, col0:col1])
-    chain = chain or PeriodChain("neumann")
     return 1.0 / chain.sweep(blocks, clamp_left=True).energy(nblocks, inside[:, col1])
 
 
@@ -325,12 +338,18 @@ def rho_from_modulus(mask: DomainMask, component: int = 0,
     lies on other rows than its arc at x=0 (a winding tube), the quad is
     not a fundamental domain of the lift: the value is kept and
     meta['reason'] says so."""
+    return _modulus(PeriodChain("neumann"), mask, component, z0)
+
+
+def _modulus(chain: PeriodChain, mask: DomainMask, component: int,
+             z0: Optional[tuple]) -> RhoEstimate:
+    """rho_from_modulus on a 'neumann' chain the caller owns."""
     nx = mask.grid.nx
     win, _ = _lift(mask, component, 0, 2, z0)
     runs0 = _arc_runs(win.inside[:, 0])
     if len(runs0) != 1:
         raise NotSeparating(f"{len(runs0)} arcs on the x=0 slice")
-    mod = _quad_modulus(win, 0, nx)
+    mod = _quad_modulus(win, 0, nx, chain)
     meta = {"modulus": mod}
     if not np.array_equal(win.inside[:, 0], win.inside[:, nx]):
         meta["reason"] = OBLIQUE
@@ -343,8 +362,13 @@ def rho_from_extremal(mask: DomainMask, component: int = 0,
                       z0: Optional[tuple] = None) -> RhoEstimate:
     """Extremal distance route: d(I_0, I_n) is the modulus of the
     n-period quadrilateral; rho = (pi/P) * lim d/n, from a slope fit."""
+    return _extremal(PeriodChain("neumann"), mask, component, n_list, z0)
+
+
+def _extremal(chain: PeriodChain, mask: DomainMask, component: int,
+              n_list: Sequence[int], z0: Optional[tuple]) -> RhoEstimate:
+    """rho_from_extremal on a 'neumann' chain the caller owns."""
     win, _ = _lift(mask, component, 0, max(n_list) + 1, z0)
-    chain = PeriodChain("neumann")
     ds = [_quad_modulus(win, 0, nn * mask.grid.nx, chain) for nn in n_list]
     slope, r2, ci = _slope_fit(np.array(n_list, float), np.array(ds),
                                "extremal")
@@ -382,13 +406,17 @@ def rho_estimates(mask: DomainMask, component: int = 0,
                   include_pencil: bool = True) -> list:
     """All growth estimators for one component, plus the pencil value.
     The growth estimate comes first and carries the Martin function in
-    meta['martin']."""
-    H = martin_function(mask, component, z0=z0, n=n_martin)
+    meta['martin'].  The estimators share one 'face' chain (Martin
+    function, hm_decay), then one 'neumann' chain (modulus, extremal), so
+    each period-block pattern is factored once per boundary rule."""
+    face = PeriodChain("face")
+    H = _martin(face, mask, component, z0, n_martin)
     out = [rho_from_growth(H),
-           rho_from_hm_decay(mask, component, z0=z0, n_min=n_decay[0],
-                             n_max=n_decay[1]),
-           rho_from_modulus(mask, component, z0=z0),
-           rho_from_extremal(mask, component, n_list=extremal_ns, z0=z0)]
+           _hm_decay(face, mask, component, z0, n_decay[0], n_decay[1])]
+    del face        # free its blocks before the quads factor theirs
+    neumann = PeriodChain("neumann")
+    out += [_modulus(neumann, mask, component, z0),
+            _extremal(neumann, mask, component, extremal_ns, z0)]
     if include_pencil:
         from .pencil import rho_min
         r = rho_min(mask)

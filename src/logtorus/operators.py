@@ -49,7 +49,8 @@ restricted to the mask's complement.
 Period chains.  The Laplacian of a covering window is block tridiagonal
 across its period blocks of nx columns (Buzbee-Golub-Nielson block
 elimination).  PeriodChain(bc) assembles each distinct block pattern
-edge-blind, as an nx-column LogWindow, factors its interior (every
+(the inside cells of nx columns on one grid: the entries follow hx and
+hy) edge-blind, as an nx-column LogWindow, factors its interior (every
 column but the first and last) once through LinearSystem and solves it
 for the interface columns, which gives the block's Schur complement
 onto its first and last columns.  A link between two blocks differs from
@@ -61,8 +62,8 @@ to right, keeping one Schur complement onto the last column per period
 and the map that back-substitutes the column before it, so one sweep
 solves every prefix window: clamp the prefix's last column, walk back
 through the maps, and fill a block's interior with one dense product.
-The factored blocks live as long as the chain; callers make one per
-estimator call.
+The factored blocks live as long as the chain; martin makes one chain
+per boundary rule and rho_estimates call (or public estimator call).
 """
 
 from __future__ import annotations
@@ -398,8 +399,8 @@ class _Block:
 
 class PeriodChain:
     """Factored period blocks of one boundary convention ('face' or
-    'neumann'), keyed by inside pattern and shared by every window swept
-    through this chain.  See the module docstring."""
+    'neumann'), keyed by grid and inside pattern and shared by every
+    window swept through this chain.  See the module docstring."""
 
     def __init__(self, bc: str):
         if bc not in ("face", "neumann"):
@@ -410,7 +411,7 @@ class PeriodChain:
     def _block(self, window: LogWindow, b: int) -> _Block:
         nx = window.grid.nx
         inside = window.inside[:, b * nx:(b + 1) * nx]
-        key = (inside.shape, inside.tobytes())
+        key = (window.grid, inside.shape, inside.tobytes())
         if key in self._blocks:
             return self._blocks[key]
         edges = np.zeros_like(inside)

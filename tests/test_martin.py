@@ -12,7 +12,7 @@ from logtorus.martin import (
     rho_estimates, rho_from_extremal, rho_from_growth, rho_from_hm_decay,
     rho_from_modulus,
 )
-from logtorus.operators import (LinearSystem, LogWindow, assemble,
+from logtorus.operators import (LinearSystem, LogWindow, PeriodChain, assemble,
                                 harmonic_measure_field, lift_window)
 from logtorus.torus import (Band, Disc, Grid, Rect, ShapeDifference,
                             ShapeUnion, Strip, TorusSpec, Tube, build_domain)
@@ -90,7 +90,7 @@ def test_modulus_unit_square_convention():
     inside = np.zeros((32, 64), dtype=bool)
     inside[8:24, :] = True            # W = 16*hy
     win = LogWindow(grid, 0, 2, 0, 1, inside)
-    mod = _quad_modulus(win, 0, 32)
+    mod = _quad_modulus(win, 0, 32, PeriodChain("neumann"))
     W = 16 * grid.hy
     assert mod == pytest.approx(LOG2 / W, rel=1e-9)
 
@@ -108,8 +108,8 @@ def test_quad_modulus_keeps_the_largest_piece(island, link):
     inside[island[0]:island[1], :40] = True
     inside[link[0]:link[1], 40:46] = True
     win = LogWindow(grid, 0, 2, 0, 1, inside)
-    assert _quad_modulus(win, 0, 32) == pytest.approx(LOG2 / (16 * grid.hy),
-                                                      rel=1e-9)
+    mod = _quad_modulus(win, 0, 32, PeriodChain("neumann"))
+    assert mod == pytest.approx(LOG2 / (16 * grid.hy), rel=1e-9)
 
 
 def test_quad_modulus_rejects_pieces_below_half():
@@ -118,7 +118,8 @@ def test_quad_modulus_rejects_pieces_below_half():
     for lo in (2, 12, 22):
         inside[lo:lo + 6, :] = True
     with pytest.raises(NotSimplyConnected):
-        _quad_modulus(LogWindow(grid, 0, 2, 0, 1, inside), 0, 32)
+        _quad_modulus(LogWindow(grid, 0, 2, 0, 1, inside), 0, 32,
+                      PeriodChain("neumann"))
 
 
 def test_modulus_rejects_two_arcs():
@@ -399,8 +400,9 @@ def test_modulus_flags_oblique_crosscuts(name, oblique):
 
 
 def test_one_factorization_per_estimator_call(monkeypatch):
-    # every estimator factors one period block of a strip once: 4 LUs
-    # for the four estimators, 1 for beta over 4 crosscuts
+    # a strip has one period-block pattern: rho_estimates factors it
+    # once per boundary rule ('face' and 'neumann'), beta once for its
+    # 4 crosscuts
     mask = build_domain(SPEC, 64, 64, Strip(-0.8, 0.8))
     dofs = []
     init = LinearSystem.__init__
@@ -413,9 +415,31 @@ def test_one_factorization_per_estimator_call(monkeypatch):
     ests = rho_estimates(mask, 0, z0=(0.3, 0.0), extremal_ns=(2, 3, 4),
                          include_pencil=False)
     assert len(ests) == 4
-    assert len(dofs) <= 4
+    assert len(dofs) == 2
     assert max(dofs) <= mask.inside.sum()
     dofs.clear()
     H = ests[0].meta["martin"]
     beta_functional(H.window, H.values, (0.3, 0.0), range(1, 5))
     assert len(dofs) == 1
+
+
+@pytest.mark.parametrize("name", list(REFERENCE_DOMAINS))
+def test_rho_estimates_equal_the_estimators_called_one_by_one(name):
+    # rho_estimates shares one chain per boundary rule between the
+    # estimators; on the tubes their windows take different y-periods, so
+    # a chain holds several block patterns.  Sharing changes no bit.
+    n, shape, _, z0 = REFERENCE_DOMAINS[name]
+    mask = build_domain(SPEC, n, n, shape)
+    shared = rho_estimates(mask, 0, z0=z0, n_martin=4, n_decay=(3, 8),
+                           extremal_ns=(2, 3, 4), include_pencil=False)
+    H = martin_function(mask, 0, z0=z0, n=4)
+    alone = [rho_from_growth(H),
+             rho_from_hm_decay(mask, 0, z0=z0, n_min=3, n_max=8),
+             rho_from_modulus(mask, 0, z0=z0),
+             rho_from_extremal(mask, 0, n_list=(2, 3, 4), z0=z0)]
+    assert [e.method for e in shared] == [e.method for e in alone]
+    for a, b in zip(shared, alone):
+        assert (a.value, a.ci, a.n_range) == (b.value, b.ci, b.n_range)
+        for key in ("omegas", "distances", "modulus", "reason"):
+            assert a.meta.get(key) == b.meta.get(key)
+    np.testing.assert_array_equal(shared[0].meta["martin"].values, H.values)

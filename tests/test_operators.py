@@ -335,3 +335,21 @@ def test_period_chain_equals_the_direct_solve_on_every_prefix():
         got = sweep.field(ends)
         assert np.max(np.abs(got - want)) <= 1e-12
         assert sweep.value(ends, (6, 8 * k - 2)) == pytest.approx(want[6, -2], rel=1e-12)
+
+
+@pytest.mark.parametrize("bc", ["face", "neumann"])
+def test_period_chain_reused_across_grids_equals_a_fresh_chain(bc):
+    # one block pattern on two periods P: the x-links 1/hx^2 differ, so a
+    # chain that sweeps both windows must factor the pattern for each grid
+    inside = np.zeros((32, 64), dtype=bool)
+    inside[8:24] = True
+    chain = PeriodChain(bc)
+    for P in (LOG2, 2.0):
+        win = LogWindow(Grid(TorusSpec(P), 32, 32), 0, 2, 0, 1, inside.copy())
+        if bc == "neumann":
+            got, want = (c.sweep(win, clamp_left=True).energy(2, inside[:, 0])
+                         for c in (chain, PeriodChain(bc)))
+        else:
+            got, want = (s.field(s.solve(2, inside[:, -1]))
+                         for s in (chain.sweep(win), PeriodChain(bc).sweep(win)))
+        np.testing.assert_array_equal(got, want)
