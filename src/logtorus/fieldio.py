@@ -1,4 +1,4 @@
-"""CSV import/export for fields, masks, measures, spectra, indicators.
+"""CSV import/export for fields, masks and spectra.
 
 Every file starts with comment headers carrying the grid geometry and,
 when written through the CLI, the config hash and seed, so outputs are
@@ -18,8 +18,8 @@ from .errors import ConfigError
 from .torus import Grid, GridField, TorusSpec
 
 __all__ = [
-    "atomic_write", "field_to_csv", "mask_to_csv", "measure_to_csv",
-    "spectrum_to_csv", "indicator_to_csv", "read_field_csv", "format_float",
+    "atomic_write", "field_to_csv", "window_field_to_csv", "mask_to_csv",
+    "spectrum_to_csv", "read_field_csv", "format_float",
 ]
 
 
@@ -40,41 +40,27 @@ def atomic_write(path: str, text: str):
             os.unlink(tmp)
 
 
-def _headers(grid: Grid, extra: Optional[dict]) -> str:
-    lines = [f"# nx {grid.nx} ny {grid.ny} P {format_float(grid.spec.P)}"]
-    for k, v in (extra or {}).items():
-        lines.append(f"# {k} {v}")
-    return "\n".join(lines) + "\n"
+def _headers(grid: Grid, extra: Optional[dict], *lines: str) -> str:
+    """Comment headers: the grid geometry, then lines, then extra."""
+    head = [f"# nx {grid.nx} ny {grid.ny} P {format_float(grid.spec.P)}", *lines]
+    head += [f"# {k} {v}" for k, v in (extra or {}).items()]
+    return "\n".join(head) + "\n"
 
 
-def field_to_csv(path: str, field: GridField, style: str = "matrix",
-                 extra: Optional[dict] = None):
-    """Write a field as a matrix block (rows over y, outer) or as
-    x,y,value lines; complex fields get re,im columns."""
-    grid = field.grid
+def _rows(values, fmt=format_float) -> list:
+    """One comma-separated line per matrix row."""
+    return [",".join(fmt(v) for v in row) + "\n" for row in values]
+
+
+def field_to_csv(path: str, field: GridField, extra: Optional[dict] = None):
+    """Write a field as a matrix block, rows over y (outer); a complex
+    field writes its real block, then its imaginary block."""
     vals = field.values
-    out = [_headers(grid, extra)]
-    cplx = np.iscomplexobj(vals)
-    if style == "matrix":
-        for row in (vals if not cplx else vals.real):
-            out.append(",".join(format_float(v) for v in row) + "\n")
-        if cplx:
-            out.append("# imaginary part\n")
-            for row in vals.imag:
-                out.append(",".join(format_float(v) for v in row) + "\n")
-    elif style == "xyz":
-        X, Y = grid.meshgrid()
-        for j in range(grid.ny):
-            for i in range(grid.nx):
-                if cplx:
-                    out.append(f"{format_float(X[j, i])},{format_float(Y[j, i])},"
-                               f"{format_float(vals[j, i].real)},"
-                               f"{format_float(vals[j, i].imag)}\n")
-                else:
-                    out.append(f"{format_float(X[j, i])},{format_float(Y[j, i])},"
-                               f"{format_float(vals[j, i])}\n")
+    out = [_headers(field.grid, extra)]
+    if np.iscomplexobj(vals):
+        out += _rows(vals.real) + ["# imaginary part\n"] + _rows(vals.imag)
     else:
-        raise ConfigError(f"unknown field style {style!r}")
+        out += _rows(vals)
     atomic_write(path, "".join(out))
 
 
@@ -82,31 +68,15 @@ def window_field_to_csv(path: str, window, values: np.ndarray,
                         extra: Optional[dict] = None):
     """Matrix block for a field on a covering window; the header records
     the window's period span alongside the parent grid geometry."""
-    grid = window.grid
-    lines = [f"# nx {grid.nx} ny {grid.ny} P {format_float(grid.spec.P)}",
-             f"# window px {window.px_lo} {window.px_hi} "
-             f"py {window.py_lo} {window.py_hi}"]
-    for k, v in (extra or {}).items():
-        lines.append(f"# {k} {v}")
-    out = ["\n".join(lines) + "\n"]
-    for row in values:
-        out.append(",".join(format_float(v) for v in row) + "\n")
-    atomic_write(path, "".join(out))
+    span = (f"# window px {window.px_lo} {window.px_hi} "
+            f"py {window.py_lo} {window.py_hi}")
+    atomic_write(path, "".join([_headers(window.grid, extra, span)] + _rows(values)))
 
 
 def mask_to_csv(path: str, mask, extra: Optional[dict] = None):
     """0/1 cells, row-major with y as the outer index."""
-    out = [_headers(mask.grid, extra)]
-    for row in mask.inside.astype(int):
-        out.append(",".join(str(v) for v in row) + "\n")
-    atomic_write(path, "".join(out))
-
-
-def measure_to_csv(path: str, measure, extra: Optional[dict] = None):
-    out = [_headers(measure.grid, extra)]
-    for row in measure.masses:
-        out.append(",".join(format_float(v) for v in row) + "\n")
-    atomic_write(path, "".join(out))
+    atomic_write(path, "".join([_headers(mask.grid, extra)]
+                               + _rows(mask.inside.astype(int), str)))
 
 
 def spectrum_to_csv(path: str, result, extra: Optional[dict] = None):
@@ -116,16 +86,6 @@ def spectrum_to_csv(path: str, result, extra: Optional[dict] = None):
     for rho, res in zip(result.eigenvalues, result.residuals):
         lines.append(f"{format_float(rho.real)} {format_float(rho.imag)} "
                      f"{format_float(res)}\n")
-    atomic_write(path, "".join(lines))
-
-
-def indicator_to_csv(path: str, indicator, extra: Optional[dict] = None):
-    lines = []
-    for k, v in (extra or {}).items():
-        lines.append(f"# {k} {v}\n")
-    lines.append("# theta,value\n")
-    for t, v in zip(indicator.thetas(), indicator.values):
-        lines.append(f"{format_float(t)},{format_float(v)}\n")
     atomic_write(path, "".join(lines))
 
 

@@ -254,9 +254,9 @@ class OperatorMatrix:
             np.concatenate([self.coup_cells[on], cells[~keep][fc.col]]),
             np.concatenate([self.coup_vals[on], fc.data]))
 
-    def embed(self, u: np.ndarray, fill=0.0) -> np.ndarray:
-        """Scatter a dof vector back to the full cell array."""
-        out = np.full(self.free.shape, fill, dtype=np.result_type(u.dtype, float))
+    def embed(self, u: np.ndarray) -> np.ndarray:
+        """Scatter a dof vector back to the full cell array, 0 elsewhere."""
+        out = np.zeros(self.free.shape, dtype=np.result_type(u.dtype, float))
         out[self.free] = u
         return out
 
@@ -357,7 +357,10 @@ def assemble(domain, kind: str = "l_rho", rho: complex = 0.0,
 
 
 class LinearSystem:
-    """LU-factorized sparse system reused across right-hand sides."""
+    """LU-factorized sparse system reused across right-hand sides.
+
+    The library's only sparse factorization: every SuperLU factor, the
+    pencil's included, is built here, so one site sees them all."""
 
     def __init__(self, op: OperatorMatrix):
         self.op = op
@@ -581,9 +584,9 @@ def cell_of(domain, x: float, y: float) -> tuple:
     return _field_domain(domain).cell_of(x, y)
 
 
-def harmonic_measure(domain, target: np.ndarray, z0: tuple,
-                     bc: str = "face") -> float:
-    """Harmonic measure of the target seen from the cell containing z0."""
-    fld = harmonic_measure_field(domain, target, bc=bc)
+def harmonic_measure(domain, target: np.ndarray, z0: tuple) -> float:
+    """Harmonic measure of the target seen from the cell containing z0,
+    under bc='face'."""
+    fld = harmonic_measure_field(domain, target)
     j, i = cell_of(domain, *z0)
     return float(fld.values[j, i])

@@ -16,6 +16,8 @@ __all__ = [
     "strip_majorant_profile",
 ]
 
+STRIP_GREEN_KMAX = 80    # the shift series runs over |k| <= STRIP_GREEN_KMAX
+
 
 def strip_eigenvalue_lattice(width: float, P: float, n_max: int, m_max: int):
     """Pencil eigenvalues of the strip alpha < y < alpha + width:
@@ -47,7 +49,7 @@ def sector_green(z, zeta, alpha: float, beta: float):
 
 
 def strip_green_series(z, zeta, rho: float, alpha: float, beta: float,
-                       P: float, kmax: int = 80):
+                       P: float):
     """Green function of L_rho on the torus strip alpha < y < beta via the
     shift series over the sector Green function of the lift:
 
@@ -59,7 +61,7 @@ def strip_green_series(z, zeta, rho: float, alpha: float, beta: float,
     x = np.real(z)
     xi = float(np.real(zeta))
     total = np.zeros(z.shape if z.shape else (1,))
-    for k in range(-kmax, kmax + 1):
+    for k in range(-STRIP_GREEN_KMAX, STRIP_GREEN_KMAX + 1):
         zk = zeta + k * P
         g = sector_green(z, zk, alpha, beta)
         total = total + g * np.exp(rho * (xi + k * P - x))

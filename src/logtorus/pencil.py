@@ -31,20 +31,26 @@ an evaluation counts only if its eigenvector has a single sign, which
 certifies it as the Perron pair.  A safeguarded secant in rho^2 brackets
 and refines the root; mu is not monotone, and the search stops without
 a value below rho*hx = 1.
+
+Every LU here, the real Perron ones and the complex contour ones, is
+built by operators.LinearSystem, one at a time.  ARPACK and the contour
+solves call its SuperLU factor directly, without LinearSystem's
+residual check: each returned pair is certified by TOL_RES instead, and
+a Perron pair also by its sign.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 import numpy as np
 from scipy import sparse
 from scipy.linalg import eig
-from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigs, splu
+from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigs
 
 from .errors import SolverFailure
-from .operators import assemble
+from .operators import LinearSystem, assemble
 from .torus import TWO_PI, DomainMask, GridField, components, reflect_mask
 
 __all__ = [
@@ -139,11 +145,12 @@ class PencilSystem:
         pair, which the caller checks.
         """
         n = self.n
+        # ARPACK calls the factor directly: the sign check certifies the pair
+        lu = LinearSystem(replace(self.opK, matrix=-self.K - 2.0 * rho * self.B)).lu
+        op = LinearOperator((n, n), matvec=lu.solve, dtype=float)
         try:
-            lu = splu((-self.K - 2.0 * rho * self.B).tocsc())
-            op = LinearOperator((n, n), matvec=lu.solve, dtype=float)
             theta, v = eigs(op, k=1, which="LM", v0=np.ones(n))
-        except (RuntimeError, ArpackNoConvergence) as exc:
+        except ArpackNoConvergence as exc:
             raise SolverFailure(f"Perron solve failed at rho={rho:.6g}: {exc}") from exc
         q = self.normalize(v[:, 0])
         return rho * rho - 1.0 / float(theta[0].real), q.real
@@ -204,10 +211,8 @@ class PencilSystem:
         for t in np.pi * (np.arange(NODES // 2) + 0.5) / (NODES // 2):
             z = center + a * np.cos(t) + 1j * b * np.sin(t)
             w = (-a * np.sin(t) + 1j * b * np.cos(t)) / (1j * NODES)
-            try:
-                lu = splu((self.K + 2.0 * z * self.B + z * z * eye).tocsc())
-            except RuntimeError as exc:
-                raise SolverFailure(f"T(z) singular at the contour node {z:.6g}") from exc
+            T = self.K + 2.0 * z * self.B + z * z * eye
+            lu = LinearSystem(replace(self.opK, matrix=T)).lu
             # one column at a time: SuperLU solves a block through BLAS-3
             # calls that multi-threaded OpenBLAS splits, and the spinning
             # worker then slows the single-threaded work that follows
@@ -509,16 +514,16 @@ def check_spectrum_symmetries(result: SpectrumResult) -> CheckReport:
     return CheckReport("spectrum_symmetries", passed, details)
 
 
-def check_monotonicity(mask1: DomainMask, mask2: DomainMask,
-                       bc: str = "face") -> CheckReport:
-    """Strict monotonicity rho(D1) > rho(D2) for D1 strictly inside D2."""
+def check_monotonicity(mask1: DomainMask, mask2: DomainMask) -> CheckReport:
+    """Strict monotonicity rho(D1) > rho(D2) for D1 strictly inside D2,
+    under bc='face'."""
     if not np.all(~mask1.inside | mask2.inside):
         raise ValueError("mask1 must be contained in mask2")
     diff = int((mask2.inside & ~mask1.inside).sum())
     if diff == 0:
         raise ValueError("containment must be strict")
-    r1 = rho_min(mask1, bc=bc)
-    r2 = rho_min(mask2, bc=bc)
+    r1 = rho_min(mask1)
+    r2 = rho_min(mask2)
     h = max(mask1.grid.hx, mask1.grid.hy)
     margin = 1e-8
     ok = (r1 is not None and r2 is not None and r1 > r2 + margin)
@@ -528,16 +533,16 @@ def check_monotonicity(mask1: DomainMask, mask2: DomainMask,
 
 
 def check_shrinking_limit(masks: Sequence[DomainMask], mask_limit: DomainMask,
-                          bc: str = "face", rtol: float = 0.05) -> CheckReport:
+                          rtol: float = 0.05) -> CheckReport:
     """rho(D_n) decreases along an increasing exhaustion D_n up to D and
     approaches rho(D); normalized eigenfunctions converge on a fixed
-    compact sub-mask, the first mask eroded by two cells."""
+    compact sub-mask, the first mask eroded by two cells.  bc='face'."""
     values, fields = [], []
     for m in masks:
-        r = rho_min(m, bc=bc, full_result=True)
+        r = rho_min(m, full_result=True)
         values.append(r.value)
         fields.append(r.eigenfunction)
-    r_lim = rho_min(mask_limit, bc=bc)
+    r_lim = rho_min(mask_limit)
     eps = 1e-10
     decreasing = all(values[i] + eps >= values[i + 1]
                      for i in range(len(values) - 1))
@@ -560,23 +565,24 @@ def check_shrinking_limit(masks: Sequence[DomainMask], mask_limit: DomainMask,
         {"rho_sequence": values, "rho_limit": r_lim, "sup_diffs": sup_diffs})
 
 
-def matsaev_probe(mask: DomainMask, box=None, bc: str = "face") -> CheckReport:
+def matsaev_probe(mask: DomainMask, box=None) -> CheckReport:
     """Exploratory comparison of Spec(D) and Spec(-D) plus the identity
     'largest negative spectrum point = -rho(D)'.
 
     The set equality Spec(D) = Spec(-D) is an open question; the probe
     reports the Hausdorff distance without asserting it.  A mask that is
-    its own reflection reuses its spectrum and rho_min for -D.
+    its own reflection reuses its spectrum and rho_min for -D.  Both
+    spectra and both rho_min use bc='face'.
     """
     P = mask.grid.spec.P
-    rmin = rho_min(mask, bc=bc)
+    rmin = rho_min(mask)
     if box is None:
         hi = 3.0 * (rmin or 3.0)
         box = (-hi, hi, -1.2 * TWO_PI / P, 1.2 * TWO_PI / P)
     reflected = reflect_mask(mask)
     symmetric = np.array_equal(reflected.inside, mask.inside)
-    spec_d = spectrum(mask, box, bc=bc)
-    spec_r = spec_d if symmetric else spectrum(reflected, box, bc=bc)
+    spec_d = spectrum(mask, box)
+    spec_r = spec_d if symmetric else spectrum(reflected, box)
 
     a, b = spec_d.eigenvalues, spec_r.eigenvalues
     if len(a) and len(b):
@@ -587,7 +593,7 @@ def matsaev_probe(mask: DomainMask, box=None, bc: str = "face") -> CheckReport:
 
     # Prop-6.7-style identity via the exact reflection symmetry:
     # largest negative point of Spec(D) equals -rho_min(reflect(D))
-    rmin_r = rmin if symmetric else rho_min(reflected, bc=bc)
+    rmin_r = rmin if symmetric else rho_min(reflected)
     neg = [r.real for r in spec_d.eigenvalues
            if r.real < 0 and abs(r.imag) <= _tol_real(mask, TOL_RES)]
     max_negative = max(neg) if neg else None

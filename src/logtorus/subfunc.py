@@ -34,6 +34,8 @@ __all__ = [
 ]
 
 LIFT_PERIODS = 3         # x-periods of the covering window in lift_check
+LIFT_TOL = 1e-6          # certificate and flatness tolerance of lift_check
+TC_TOL = 1e-6            # convexity tolerance of TrigIndicator.is_tc
 GREEN_SIGN_TOL = 1e-10   # largest Green value, per unit of the largest |value|
 
 
@@ -83,7 +85,7 @@ def is_subfunction(v: GridField, rho: float, tol: float = 1e-6) -> SubfunctionCe
     return SubfunctionCertificate(v, rho, nu, min_mass, thr, verdict)
 
 
-def lift_check(v: GridField, rho: float, tol: float = 1e-6) -> dict:
+def lift_check(v: GridField, rho: float) -> dict:
     """Lift v to V = v * e^{rho x} on an x-covering window of LIFT_PERIODS
     periods and verify the two structural properties of the lift:
     multiplicative periodicity V(x+P, y) = e^{rho P} V(x, y) (exact by
@@ -106,13 +108,13 @@ def lift_check(v: GridField, rho: float, tol: float = 1e-6) -> dict:
            + (np.roll(V, 1, 0) + np.roll(V, -1, 0) - 2 * V) / hy ** 2)
     interior = np.zeros_like(V, dtype=bool)
     interior[:, 1:-1] = True
-    cert = is_subfunction(v, rho, tol)
+    cert = is_subfunction(v, rho, LIFT_TOL)
     weight = np.exp(rho * xs)[None, :]
     h2 = max(hx, hy) ** 2
-    thr = (tol + h2 * (1.0 + rho ** 2) ** 2) * (1.0 + np.max(np.abs(v.values)))
+    thr = (LIFT_TOL + h2 * (1.0 + rho ** 2) ** 2) * (1.0 + np.max(np.abs(v.values)))
     sub_ok = bool(np.min((lap / weight)[interior]) >= -thr) if cert.is_subfunction else None
     vmax = float(v.values.max())
-    constant = bool(np.ptp(v.values) <= tol * (1.0 + abs(vmax)))
+    constant = bool(np.ptp(v.values) <= LIFT_TOL * (1.0 + abs(vmax)))
     max_principle_ok = (vmax > 0.0) or constant if cert.is_subfunction else None
     return {"periodicity_error": float(0.0 if np.isnan(per_err) else per_err),
             "lift_subharmonic": sub_ok,
@@ -243,12 +245,12 @@ def dirichlet_lrho(mask: DomainMask, rho: float, f,
 
 
 def dirichlet_lrho_monotone(mask: DomainMask, rho: float,
-                            f_levels: Sequence, bc: str = "face") -> GridField:
+                            f_levels: Sequence) -> GridField:
     """Generalized solution for semicontinuous data via a monotone
     sequence of continuous levels (3 levels by default upstream), all
-    solved on one factorization; the level solutions and their
-    successive sups are reported in meta."""
-    sols = _dirichlet_levels(mask, rho, f_levels, bc)
+    solved under bc='face' on one factorization; the level solutions and
+    their successive sups are reported in meta."""
+    sols = _dirichlet_levels(mask, rho, f_levels, "face")
     diffs = [float(np.max(np.abs(b.values - a.values)))
              for a, b in zip(sols, sols[1:])]
     out = sols[-1].copy()
@@ -352,9 +354,9 @@ class TrigIndicator:
         second = (np.roll(h, -1) - 2 * h + np.roll(h, 1)) / self.h_theta ** 2
         return float(np.min(second + self.rho ** 2 * h))
 
-    def is_tc(self, tol: float = 1e-6) -> bool:
+    def is_tc(self) -> bool:
         scale = 1.0 + float(np.max(np.abs(self.values)))
-        thr = (tol + self.h_theta ** 2 * (1.0 + self.rho ** 4 / 12.0)) * scale
+        thr = (TC_TOL + self.h_theta ** 2 * (1.0 + self.rho ** 4 / 12.0)) * scale
         return self.convexity_margin() >= -thr
 
 

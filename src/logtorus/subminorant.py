@@ -22,8 +22,8 @@ L_h m < -lam_tol.  The coarsest grid starts cold: its first step is the
 all-active one (v = m), the only step without a factorization.  A
 half grid that diverges, cycles or fails leaves the fine grid the cold
 start.  The result's `iterations` counts the steps of every level.  Each
-level is capped at max_iter steps; projected under-relaxed Gauss-Seidel
-sweeps rebuild the set when it cycles, at most 10 times per level.
+level is capped at max_iter steps and remembers the contact sets it has
+visited: the first step that repeats one stops the level as 'cycling'.
 Unbounded iterates are reported as 'diverged' rather than masked (they
 signal an obstacle with no subminorant at this rho, cross-checked by the
 existence test).
@@ -64,33 +64,27 @@ class SubminorantResult:
     meta: dict = field(default_factory=dict)
 
 
-def _pgs_halfsweeps(A, diag, v, m, color_masks, omega=0.8, sweeps=4):
-    """Projected under-relaxed Gauss-Seidel on L_h v = 0, v <= m,
-    updating one checkerboard color at a time."""
-    for _ in range(sweeps):
-        for cm in color_masks:
-            r = A @ v
-            cand = v - r / diag
-            v_new = np.minimum(m, (1.0 - omega) * v + omega * cand)
-            v[cm] = v_new[cm]
-    return v
-
-
 # the half grid of a warm start keeps at least this many cells per side
 _MIN_COARSE = 32
 # relative band of lambda*rho around 1 that existence_test calls borderline
 EXISTENCE_MARGIN = 0.02
+# relative tolerance of the complementarity conditions, per obstacle scale
+OBSTACLE_TOL = 1e-9
+# relative tolerance of integral_condition's slice integrals
+SLICE_TOL = 1e-9
+# certificate tolerance of minimality_test
+MINIMALITY_TOL = 1e-6
 
 
-def _tolerances(grid: Grid, mv: np.ndarray, rho: float, tol: float) -> tuple:
+def _tolerances(grid: Grid, mv: np.ndarray, rho: float) -> tuple:
     """(operator scale, multiplier tolerance, feasibility tolerance)."""
     scale = 1.0 + np.max(np.abs(mv))
     opscale = 4.0 / grid.hx ** 2 + 4.0 / grid.hy ** 2 + rho * rho
-    return opscale, tol * opscale * scale, tol * scale
+    return opscale, OBSTACLE_TOL * opscale * scale, OBSTACLE_TOL * scale
 
 
-def _active_set(grid: Grid, mv: np.ndarray, rho: float, tol: float,
-                max_iter: int, levels: list) -> tuple:
+def _active_set(grid: Grid, mv: np.ndarray, rho: float, max_iter: int,
+                levels: list) -> tuple:
     """Active-set iteration for the obstacle mv on one grid level.
 
     Warm-starts from the contact set of the half grid's solve while the
@@ -98,17 +92,18 @@ def _active_set(grid: Grid, mv: np.ndarray, rho: float, tol: float,
     starts cold from the all-active step.  Appends one record per level
     to levels, coarsest first, and returns (v, active, stop, L_h) with
     stop 'converged', 'diverged', 'max_iter', 'cycling' or
-    'solve_failed'; the last three carry a 'reason' in the record.
+    'solve_failed'; the last three carry a 'reason' in the record.  A
+    step whose new contact set is one the level has already visited
+    stops it as 'cycling'.
     """
     op_full = assemble(grid, "l_rho", rho=rho)
     A = op_full.matrix
-    _, lam_tol, feas_tol = _tolerances(grid, mv, rho, tol)
+    _, lam_tol, _ = _tolerances(grid, mv, rho)
     bound = 1e6 * (1.0 + np.max(np.abs(mv)))
     # the all-active step: v = m, drop the cells with negative multiplier
     cold = (A @ mv.ravel()).reshape(grid.shape) >= -lam_tol
     nx, ny = grid.nx, grid.ny
-    rec = {"grid": (nx, ny), "start": "cold", "steps": 0,
-           "factorizations": 0, "pgs_rescues": 0}
+    rec = {"grid": (nx, ny), "start": "cold", "steps": 0, "factorizations": 0}
     if cold.all():
         rec.update(steps=1, stop="converged")
         levels.append(rec)
@@ -116,7 +111,7 @@ def _active_set(grid: Grid, mv: np.ndarray, rho: float, tol: float,
     if nx % 2 == 0 and ny % 2 == 0 and min(nx, ny) // 2 >= _MIN_COARSE:
         half = Grid(grid.spec, nx // 2, ny // 2)
         mc = mv.reshape(ny // 2, 2, nx // 2, 2).mean(axis=(1, 3))
-        _, coarse, cstop, _ = _active_set(half, mc, rho, tol, max_iter, levels)
+        _, coarse, cstop, _ = _active_set(half, mc, rho, max_iter, levels)
         if cstop == "converged":
             active = np.repeat(np.repeat(coarse, 2, axis=0), 2, axis=1) & cold
             rec["start"] = "warm"
@@ -157,18 +152,10 @@ def _active_set(grid: Grid, mv: np.ndarray, rho: float, tol: float,
         new_active = (active & ~drop) | add
         key = new_active.tobytes()
         if key in seen:
-            # active-set cycle: smooth with PGS and rebuild the set
-            rec["pgs_rescues"] += 1
-            if rec["pgs_rescues"] > 10:
-                stop = "cycling"
-                rec["reason"] = "active-set iteration cycles persistently"
-                break
-            J, I = np.indices(grid.shape)
-            colors = [((J + I) % 2 == c).ravel() for c in (0, 1)]
-            vv = _pgs_halfsweeps(A, A.diagonal(), v.ravel().copy(), mv.ravel(),
-                                 colors, omega=0.8, sweeps=10)
-            v = vv.reshape(grid.shape)
-            new_active = np.abs(v - mv) <= feas_tol
+            stop = "cycling"
+            rec["reason"] = (f"active-set step {rec['steps']} repeats an "
+                             f"earlier contact set")
+            break
         seen.add(key)
         active = new_active
     else:
@@ -179,7 +166,7 @@ def _active_set(grid: Grid, mv: np.ndarray, rho: float, tol: float,
     return v, active, stop, A
 
 
-def maximal_subminorant(m: GridField, rho: float, tol: float = 1e-9,
+def maximal_subminorant(m: GridField, rho: float,
                         max_iter: int = 120) -> SubminorantResult:
     """Maximal subminorant of the obstacle m on the whole torus.
 
@@ -191,31 +178,33 @@ def maximal_subminorant(m: GridField, rho: float, tol: float = 1e-9,
     of m are solved first, coarsest first, and each hands its contact
     set to the next finer grid as the starting set.  `iterations` counts
     the steps of all levels.  Only the coarsest level's all-active step
-    needs no factorization, so a call without PGS rescues factors
-    `iterations - 1` times; when L_h m >= -lam_tol everywhere, m is
-    returned after 1 step, without a half grid or a factorization.  A
-    free cell joins the contact set at any excess v > m, so a converged
-    minorant never exceeds m, from a cold or a warm start.  Each level is capped at max_iter
-    steps and 10 PGS rescues; past either cap on the finest grid, or
-    when a solve there fails, IterationLimit is raised (a half grid that
-    fails only costs the fine grid its warm start).
+    needs no factorization, so a call factors `iterations - 1` times;
+    when L_h m >= -lam_tol everywhere, m is returned after 1 step,
+    without a half grid or a factorization.  A free cell joins the
+    contact set at any excess v > m, so a converged minorant never
+    exceeds m, from a cold or a warm start.  Each level is capped at
+    max_iter steps and stops at the first step that repeats one of its
+    contact sets; when the finest grid cycles, passes the cap or fails a
+    solve, IterationLimit is raised with the level's reason (a half grid
+    that fails only costs the fine grid its warm start).  The
+    complementarity conditions hold to OBSTACLE_TOL per obstacle scale.
 
     meta: 'stop' ('converged' or 'diverged'); 'levels', one record per
     grid, coarsest first, with 'grid' (nx, ny), 'start' ('cold', 'warm'
-    or 'cold_after_<stop of the half grid>'), 'steps', 'factorizations',
-    'pgs_rescues' and 'stop'; 'pgs_rescues' over all levels; 'lam_tol'.
+    or 'cold_after_<stop of the half grid>'), 'steps', 'factorizations'
+    and 'stop'; 'lam_tol'; 'pgs_rescues', always 0.
     """
     if rho <= 0:
         raise ConfigError("maximal_subminorant needs rho > 0")
     grid = m.grid
     mv = np.asarray(m.values, dtype=float)
     levels: list = []
-    v, _, stop, A = _active_set(grid, mv, rho, tol, max_iter, levels)
+    v, _, stop, A = _active_set(grid, mv, rho, max_iter, levels)
     if stop not in ("converged", "diverged"):
         raise IterationLimit(levels[-1]["reason"])
     it = sum(rec["steps"] for rec in levels)
 
-    opscale, lam_tol, feas_tol = _tolerances(grid, mv, rho, tol)
+    opscale, lam_tol, feas_tol = _tolerances(grid, mv, rho)
     lam = (A @ v.ravel()).reshape(grid.shape)
     contact = np.abs(v - mv) <= feas_tol
     comp = np.minimum(mv - v, lam / opscale)
@@ -228,8 +217,9 @@ def maximal_subminorant(m: GridField, rho: float, tol: float = 1e-9,
         status = "identically_zero" if np.max(np.abs(v)) <= 10 * feas_tol * scale \
             else "nonzero"
     out = GridField(grid, v, {"kind": "maximal_subminorant", "rho": rho})
-    meta = {"pgs_rescues": sum(rec["pgs_rescues"] for rec in levels),
-            "lam_tol": lam_tol, "levels": levels, "stop": stop}
+    # pgs_rescues is always 0; it stays because the benchmark's tracer
+    # reads it from every result
+    meta = {"pgs_rescues": 0, "lam_tol": lam_tol, "levels": levels, "stop": stop}
     return SubminorantResult(m, rho, out, contact, residual, status, it, meta)
 
 
@@ -246,12 +236,10 @@ class LambdaValue:
     meta: dict = field(default_factory=dict)
 
 
-def _dilate(inside, steps=1):
-    out = inside.copy()
-    for _ in range(steps):
-        out = (out | np.roll(out, 1, 0) | np.roll(out, -1, 0)
-               | np.roll(out, 1, 1) | np.roll(out, -1, 1))
-    return out
+def _dilate(inside):
+    """One-cell periodic dilation."""
+    return (inside | np.roll(inside, 1, 0) | np.roll(inside, -1, 0)
+            | np.roll(inside, 1, 1) | np.roll(inside, -1, 1))
 
 
 def _lambda_of_mask(mask: DomainMask) -> tuple:
@@ -357,14 +345,15 @@ class SliceIntegralReport:
     refuted: bool
 
 
-def integral_condition(m: GridField, tol: float = 1e-9) -> SliceIntegralReport:
+def integral_condition(m: GridField) -> SliceIntegralReport:
     """Necessary condition per x-slice: the y-integral of the obstacle
-    must be nonnegative on every slice, else no subminorant exists."""
+    must be nonnegative on every slice (to SLICE_TOL per obstacle
+    scale), else no subminorant exists."""
     grid = m.grid
     integrals = m.values.sum(axis=0) * grid.hy
     mn = float(integrals.min())
     scale = 1.0 + float(np.max(np.abs(m.values)))
-    return SliceIntegralReport(integrals, mn, bool(mn < -tol * scale))
+    return SliceIntegralReport(integrals, mn, bool(mn < -SLICE_TOL * scale))
 
 
 @dataclass
@@ -381,13 +370,13 @@ def _default_witnesses(grid: Grid):
 
 
 def minimality_test(v: GridField, rho: float,
-                    witnesses: Optional[Sequence] = None,
-                    tol: float = 1e-6) -> MinimalityReport:
+                    witnesses: Optional[Sequence] = None) -> MinimalityReport:
     """Minimality classification of a certified subfunction.
 
     nonminimal when v >= c > 0 everywhere or L_h v >= c > 0 everywhere
     (a constant slides underneath).  minimal when the harmonicity set
-    (cells where the residual vanishes at certificate tolerance)
+    (cells where the residual vanishes at the certificate tolerance
+    MINIMALITY_TOL)
     contains a domain M with rho(M) < rho; when the harmonicity set is
     the whole torus the witness subdomains stand in for M, which is
     legitimate since enlarging a domain only lowers rho.  Otherwise
@@ -395,7 +384,7 @@ def minimality_test(v: GridField, rho: float,
     from .subfunc import is_subfunction
 
     grid = v.grid
-    cert = is_subfunction(v, rho, tol=tol)
+    cert = is_subfunction(v, rho, tol=MINIMALITY_TOL)
     details: dict = {"certificate_verdict": cert.verdict,
                      "min_mass": cert.min_mass}
     if cert.verdict == "not":
@@ -405,10 +394,10 @@ def minimality_test(v: GridField, rho: float,
     vmin = float(v.values.min())
     dens = cert.residual.masses / grid.cell_area
     dens_min = float(dens.min())
-    if vmin > tol * scale:
+    if vmin > MINIMALITY_TOL * scale:
         details["reason"] = f"v >= {vmin:.3g} > 0 everywhere"
         return MinimalityReport("nonminimal", rho, True, details)
-    if dens_min > tol * scale:
+    if dens_min > MINIMALITY_TOL * scale:
         details["reason"] = f"L_rho v >= {dens_min:.3g} > 0 everywhere"
         return MinimalityReport("nonminimal", rho, True, details)
 

@@ -4,10 +4,14 @@ Oracles: symbol of L_rho on single Fourier modes, exact linear/harmonic
 solutions of the Laplace equation, and the discrete maximum principle.
 """
 
+import ast
+import pathlib
+
 import numpy as np
 import pytest
 from scipy import sparse
 
+from logtorus import operators
 from logtorus.errors import SolverFailure, TargetEmpty
 from logtorus.operators import (
     LinearSystem, LogWindow, PeriodChain, assemble, harmonic_measure,
@@ -353,3 +357,15 @@ def test_period_chain_reused_across_grids_equals_a_fresh_chain(bc):
             got, want = (s.field(s.solve(2, inside[:, -1]))
                          for s in (chain.sweep(win), PeriodChain(bc).sweep(win)))
         np.testing.assert_array_equal(got, want)
+
+
+def test_linear_system_is_the_only_factor_site():
+    # every sparse LU goes through LinearSystem, where it is counted
+    src = pathlib.Path(operators.__file__).parent
+    users = sorted(path.name for path in src.glob("*.py")
+                   if any(isinstance(node, (ast.Name, ast.Attribute, ast.alias))
+                          and "splu" in (getattr(node, "id", None),
+                                         getattr(node, "attr", None),
+                                         getattr(node, "name", None))
+                          for node in ast.walk(ast.parse(path.read_text()))))
+    assert users == ["operators.py"]

@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from logtorus import pencil
+from logtorus import operators, pencil
 from logtorus.pencil import (
     NODES, PROBES_MAX, TOL_RES, PencilSystem, _tol_real, check_monotonicity,
     check_shrinking_limit, check_spectrum_symmetries, erode_periodic,
@@ -40,6 +40,28 @@ def test_strip_rho_min_matches_width_law(half, expect):
     mask = build_domain(SPEC, 96, 96, Strip(-half, half))
     r = rho_min(mask)
     assert r == pytest.approx(expect, rel=0.02)
+
+
+def count_factorizations(monkeypatch) -> list:
+    """A list that records the unknowns of every LinearSystem built."""
+    dofs = []
+    init = operators.LinearSystem.__init__
+
+    def counted(self, op):
+        dofs.append(op.ndof)
+        init(self, op)
+
+    monkeypatch.setattr(operators.LinearSystem, "__init__", counted)
+    return dofs
+
+
+def test_rho_min_factors_once_per_perron_evaluation(monkeypatch):
+    mask = build_domain(SPEC, 40, 40, Strip(-np.pi / 4, np.pi / 4))
+    lus = count_factorizations(monkeypatch)
+    r = rho_min(mask, full_result=True)
+    assert r.value == pytest.approx(2.0, rel=0.02)
+    assert len(lus) == r.meta["evaluations"] >= 2
+    assert set(lus) == {int(mask.inside.sum())}
 
 
 def test_strip_rho_min_dense_path_small_grid():
@@ -401,9 +423,7 @@ def test_spectrum_is_deterministic_and_reports_its_filter():
 def test_spectrum_beyond_the_bounded_block_is_flagged(monkeypatch):
     # about 200 eigenvalues in the contour against at most 2*PROBES_MAX
     # filtered directions: one grown block, then a reason
-    lus = []
-    splu = pencil.splu
-    monkeypatch.setattr(pencil, "splu", lambda A: lus.append(A) or splu(A))
+    lus = count_factorizations(monkeypatch)
     mask = SMALL_DOMAINS["strip"]()
     res = spectrum(mask, (0.5, 30.0, -60.0, 60.0))
     assert "saturated" in res.meta["reason"]
