@@ -31,7 +31,7 @@ for rho in (0.5, 1.5, 2.5):
     d = np.abs(F.values - W.values)
     d[0, 0] = 0.0
     print(f"  rho={rho}: max disagreement {d.max():.2e} "
-          f"(shifts used: {W.meta['shifts_used']})")
+          f"(near shifts per side: {W.meta['shifts_used']})")
 
 print("\npotential of the uniform unit-density measure is the constant a00:")
 rho = 1.5

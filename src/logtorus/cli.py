@@ -189,6 +189,8 @@ class Runner:
                          extra=self.header())
             gap = np.abs(F.values - W.values)
             gap[0, 0] = 0.0
+            # shifts_used: near shifts per side evaluated term by term;
+            # the farther ones are summed in closed form
             self.write_report("fundsol_report.txt", [
                 f"max_disagreement_off_singular {format_float(float(gap.max()))}",
                 f"weierstrass_shifts {W.meta['shifts_used']}"])

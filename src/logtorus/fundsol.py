@@ -18,9 +18,13 @@ The Fourier route performs the k-sum per mode l in closed form (it is a
 periodized exponential) for all columns at once and truncates the l-sum
 by its exponential tail; on the lattice the l-sum folds by l mod ny into
 one FFT over y.  The generalized kernel below is the same synthesis with
-the resonant mode gauged.  The Weierstrass route adds one full-grid
-term per shift until both genus tails fall below the tolerance; deep
-left shifts sum their tail series by Horner's rule.  The two
+the resonant mode gauged.  The Weierstrass route evaluates the log
+factor directly only on the near shifts |k| <= K = max(1, ceil(0.5/P)),
+the only ones whose points can come within 0.5 of the singular strip;
+deeper left near points sum their genus tail by Horner's rule.  Beyond
+them every term of the factor's expansion in e^{-|x|} is geometric in k
+(X e^{-rho X} arithmetico-geometric), so both far tails are summed in
+closed form, one cos(m y) row times one x column per power.  The two
 evaluations share no code beyond the flagged singular-offset
 placeholder, so their agreement off the singularity cross-checks the
 symbol, the genus structure, and the normalization at once.
@@ -65,7 +69,6 @@ __all__ = [
 
 LATTICE_C0 = 0.5615          # 5-point Green-function lattice constant
 INTEGER_GUARD = 1e-3
-MAX_SHIFTS = 400             # bound of the Weierstrass shift sum
 
 
 @dataclass
@@ -296,37 +299,76 @@ def _placeholder(rho, P, p, h):
     return (_regular_part_at_origin(rho, P, p) + np.log(LATTICE_C0 * h)) / TWO_PI
 
 
+def _far_modes(m0, c, xmin, P, tol):
+    """Modes m = m0, m0+1, ... of a far tail whose largest term on the
+    grid, e^{-(m+c) xmin} / (m (1 - e^{-(m+c)P})), is at least tol/10;
+    that bound falls with m, so the series stops at the first mode below."""
+    m = m0
+    while np.exp(-(m + c) * xmin) / (m * -np.expm1(-(m + c) * P)) >= tol / 10.0:
+        m += 1
+    return np.arange(float(m0), float(m))
+
+
+def _geometric_cols(decay, weight, d, P):
+    """sum_{j>=0} weight e^{-decay (d + jP)}: rows over (decay, weight)
+    pairs with decay > 0, columns over distances d."""
+    return np.exp(-np.outer(decay, d)) * (weight / -np.expm1(-decay * P))[:, None]
+
+
+def _far_tails(xs, ys, p, rho, K, P, tol):
+    """sum_{|k|>K} H(e^{X+kP+iY}, p) e^{-rho(X+kP)} for columns xs in
+    [0, P) and rows ys, with K*P >= 0.5.
+
+    Right (k > K, X' = X+kP > 0.5): log|1-u| = X' - sum_n cos(nY)e^{-nX'}/n,
+    so each term is X'e^{-rho X'}, + cos(mY)e^{-(rho-m)X'}/m for m <= p,
+    or - cos(nY)e^{-(rho+n)X'}/n.  Left (k < -K, X' <= -0.5): the genus
+    tail - sum_{m>p} cos(mY)e^{(m-rho)X'}/m.  With d = |X'| at the first
+    far shift, X + (K+1)P on the right and (K+1)P - X on the left, each
+    exponential sums over k to a geometric series, and X'e^{-rho X'} to
+    e^{-rho d}(d/(1-q) + Pq/(1-q)^2), q = e^{-rho P}.
+    """
+    dr = xs + (K + 1) * P
+    dl = (K + 1) * P - xs
+    head = np.arange(1.0, p + 1.0)
+    right = _far_modes(1, rho, dr.min(), P, tol)
+    left = _far_modes(p + 1, -rho, dl.min(), P, tol)
+    cols = np.vstack([
+        _geometric_cols(np.concatenate([rho - head, rho + right]),
+                        np.concatenate([1.0 / head, -1.0 / right]), dr, P),
+        _geometric_cols(left - rho, -1.0 / left, dl, P)])
+    one_q = -np.expm1(-rho * P)
+    lattice = np.exp(-rho * dr) * (dr / one_q + P * (1.0 - one_q) / one_q ** 2)
+    return np.cos(np.outer(ys, np.concatenate([head, right, left]))) @ cols + lattice
+
+
 def fundsol_weierstrass(rho: float, grid: Grid, tol: float = 1e-9) -> GridField:
     """Fundamental solution as the shift sum of genus-p log factors.
 
-    Tails decay like e^{-(rho-p)kP} on the right and e^{-(p+1-rho)kP} on
-    the left; shifts are added until both fall below tol/10, at most
-    MAX_SHIFTS of them.
+    The base lattice and the K = max(1, ceil(0.5/P)) near shifts on each
+    side are evaluated directly (meta['shifts_used'] = K); every farther
+    shift is summed in closed form, each series stopping once its next
+    term's bound on the grid falls below tol/10.
     """
     _check_not_near_integer(rho)
+    if not tol > 0:
+        raise ConfigError(f"tol must be positive, got {tol}")
     if rho < 0:
         return _reflect(fundsol_weierstrass(-rho, grid, tol), rho)
     P = grid.spec.P
     p = int(np.floor(rho))
+    K = max(1, int(np.ceil(0.5 / P)))
     xs = np.arange(grid.nx) * grid.hx
     ys = np.arange(grid.ny) * grid.hy
     X, Y = np.meshgrid(xs, ys)
     vals = _weier_term(X, Y, p, rho)
-    vals[0, 0] = 0.0
-    used = MAX_SHIFTS
-    for k in range(1, MAX_SHIFTS + 1):
-        tr = _weier_term(X + k * P, Y, p, rho)
-        tl = _weier_term(X - k * P, Y, p, rho)
-        vals += tr + tl
-        if max(np.max(np.abs(tr)), np.max(np.abs(tl))) < tol / 10.0:
-            used = k
-            break
-    else:
-        raise ConfigError("weierstrass shift sum did not reach its tail bound")
-    vals = vals / TWO_PI
+    for k in range(1, K + 1):
+        vals += _weier_term(X + k * P, Y, p, rho)
+        vals += _weier_term(X - k * P, Y, p, rho)
+    vals += _far_tails(xs, ys, p, rho, K, P, tol)
+    vals /= TWO_PI
     vals[0, 0] = _placeholder(rho, P, p, float(np.sqrt(grid.hx * grid.hy)))
     meta = {"kind": "fundsol_weierstrass", "rho": rho, "tol": tol,
-            "shifts_used": used, "singular_cell": (0, 0),
+            "shifts_used": K, "singular_cell": (0, 0),
             "normalization": "unit_dirac", "sampling": "lattice_offsets"}
     return GridField(grid, vals, meta)
 

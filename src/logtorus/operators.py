@@ -557,8 +557,8 @@ def solve_dirichlet(domain, boundary_data, bc: str = "face") -> GridField:
                      {"kind": "laplace_dirichlet", "bc": bc})
 
 
-def harmonic_measure_field(domain, target: np.ndarray, bc: str = "face"):
-    """Harmonic measure of a target set as a field.
+def harmonic_measure_field(domain, target: np.ndarray):
+    """Harmonic measure of a target set as a field, under bc='face'.
 
     Target cells that are interior are clamped to 1 (crosscut measure);
     target cells outside the domain act as Dirichlet data 1.  All other
@@ -571,12 +571,12 @@ def harmonic_measure_field(domain, target: np.ndarray, bc: str = "face"):
     if not target.any():
         raise TargetEmpty("harmonic-measure target is empty")
     clamp = target & region.inside
-    op = assemble(domain, "laplacian", bc=bc).restrict(clamp)
+    op = assemble(domain, "laplacian", bc="face").restrict(clamp)
     u = LinearSystem(op).solve(op.boundary_rhs(np.where(target, 1.0, 0.0)))
     values = op.embed(u)
     values[clamp] = 1.0
     return GridField(_field_domain(domain), values,
-                     {"kind": "harmonic_measure", "bc": bc})
+                     {"kind": "harmonic_measure", "bc": "face"})
 
 
 def cell_of(domain, x: float, y: float) -> tuple:

@@ -174,6 +174,12 @@ def test_fundsol_command(tmp_path):
     assert d < 1e-6 and d == gap.max()   # row 0 and column 0 count too
     assert int(fields["weierstrass_shifts"]) > 0
 
+    # within 0.01 of an integer the far shifts are summed in closed form
+    cfg = write(tmp, "near.txt",
+                f"P {LOG2!r}\nnx 48\nny 48\nrho 2.01\nout {tmp}/near\n")
+    assert main(["fundsol", cfg]) == 0
+    assert os.path.exists(os.path.join(tmp, "near", "fundsol_weierstrass.csv"))
+
     cfg = write(tmp, "int.txt",
                 f"P {LOG2!r}\nnx 48\nny 48\nrho 1\nout {tmp}/int\n")
     assert main(["fundsol", cfg]) == 0

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from logtorus import fundsol
-from logtorus.errors import MassSymmetryViolated, NearIntegerRho
+from logtorus.errors import ConfigError, MassSymmetryViolated, NearIntegerRho
 from logtorus.fundsol import (
     GridMeasure, discrete_kernel, fourier_coefficient, fundsol_fourier,
     fundsol_generalized, fundsol_weierstrass, mass_symmetry_integrals,
@@ -105,6 +105,13 @@ def test_near_integer_rho_rejected():
         fundsol_weierstrass(0.99999, GRID)
 
 
+def test_weierstrass_rejects_a_tolerance_it_cannot_reach():
+    # every far-tail series stops at its first term below tol/10
+    for tol in (0.0, -1e-9, float("nan")):
+        with pytest.raises(ConfigError):
+            fundsol_weierstrass(1.5, GRID, tol=tol)
+
+
 def test_single_weierstrass_factor_value():
     # H(u, 0) at u = -1 is log 2
     assert float(_weier_term(0.0, np.pi, 0, 0.0)) == pytest.approx(np.log(2.0))
@@ -185,14 +192,15 @@ def test_regular_part_gauged_at_integer_rho(p):
     assert abs(got - ref) < 2e-6
 
 
-# shifts_used of the 64x64, P = log 2, tol = 1e-9 shift loop, which
-# counts right/left pairs until both fall below tol/10
-WEIERSTRASS_SHIFTS_64 = {0.325: 122, 1.675: 101, 3.325: 98, -1.5: 67}
+# shifts_used of the 64x64, P = log 2 kernel: K = max(1, ceil(0.5/P))
+# near shifts per side are evaluated term by term, the rest in closed form
+WEIERSTRASS_SHIFTS_64 = {0.325: 1, 1.675: 1, 3.325: 1, -1.5: 1}
 
 
 def test_weierstrass_call_contract(monkeypatch):
-    # one array term for the base lattice point and two per shift; the
-    # placeholder and the Fourier route evaluate no term at all
+    # one array term for the base lattice point and two per near shift;
+    # the far tails, the placeholder and the Fourier route evaluate no
+    # term at all
     calls = []
     inner = fundsol._weier_term
 
@@ -215,6 +223,71 @@ def test_weierstrass_call_contract(monkeypatch):
         calls.clear()
         fundsol_generalized(p, grid)
         assert calls == []
+
+
+def test_weierstrass_shares_no_code_with_the_fourier_route(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the Weierstrass route called a Fourier helper")
+
+    for name in ("_synthesis", "_periodized_exp", "_periodized_exp_mid",
+                 "_r0_col"):
+        monkeypatch.setattr(fundsol, name, forbidden)
+    for rho in (0.325, 2.01, -1.5):
+        W = fundsol_weierstrass(rho, GRID)
+        assert np.isfinite(W.values).all()
+
+
+def _weierstrass_loop(rho, grid, tol, max_shifts=20_000):
+    """The term-by-term shift loop: two full-grid terms per shift until
+    both fall below tol/10."""
+    if rho < 0:
+        inner = GridField(grid, _weierstrass_loop(-rho, grid, tol, max_shifts))
+        return fundsol._reflect(inner, rho).values
+    P = grid.spec.P
+    p = int(np.floor(rho))
+    X, Y = np.meshgrid(np.arange(grid.nx) * grid.hx, np.arange(grid.ny) * grid.hy)
+    vals = _weier_term(X, Y, p, rho)
+    for k in range(1, max_shifts + 1):
+        tr = _weier_term(X + k * P, Y, p, rho)
+        tl = _weier_term(X - k * P, Y, p, rho)
+        vals += tr + tl
+        if max(np.max(np.abs(tr)), np.max(np.abs(tl))) < tol / 10.0:
+            break
+    else:
+        raise AssertionError("reference shift loop did not converge")
+    vals /= 2 * np.pi
+    vals[0, 0] = fundsol._placeholder(rho, P, p, float(np.sqrt(grid.hx * grid.hy)))
+    return vals
+
+
+@pytest.mark.parametrize("rho", [0.325, 1.675, 3.325, -1.5])
+def test_closed_form_tails_match_the_shift_loop(rho):
+    W = fundsol_weierstrass(rho, GRID, tol=1e-12)
+    ref = _weierstrass_loop(rho, GRID, tol=1e-12)
+    assert np.max(np.abs(W.values - ref)) <= 1e-11
+
+
+@pytest.mark.parametrize("rho", [2.01, 3.0015, 0.0012])
+def test_weierstrass_near_integer_rho_matches_fourier(rho):
+    # the far tails converge like e^{-dist(rho, Z) k P}; summed in closed
+    # form they cost no more near an integer than away from one
+    W = fundsol_weierstrass(rho, GRID)
+    F = fundsol_fourier(rho, GRID)
+    off = ~cell_box(GRID, 4)
+    scale = np.max(np.abs(F.values))
+    assert np.max(np.abs(F.values - W.values)[off]) <= 1e-9 * scale
+
+
+def test_short_period_uses_more_near_shifts():
+    # K = ceil(0.5/P) = 3 near shifts per side at P = 0.2
+    grid = Grid(TorusSpec(0.2), 32, 48)
+    off = ~cell_box(grid, 4)
+    for rho in (0.55, 1.675):
+        W = fundsol_weierstrass(rho, grid)
+        F = fundsol_fourier(rho, grid)
+        assert W.meta["shifts_used"] == 3
+        scale = np.max(np.abs(F.values))
+        assert np.max(np.abs(F.values - W.values)[off]) <= 1e-9 * scale
 
 
 def test_discrete_residual_of_continuum_kernel_decays_like_h2():
