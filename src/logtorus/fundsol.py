@@ -198,6 +198,11 @@ def _reflect(inner: GridField, rho: float) -> GridField:
     return GridField(inner.grid, vals, dict(inner.meta, rho=rho))
 
 
+def _check_tol(tol: float) -> None:
+    if not tol > 0:
+        raise ConfigError(f"tol must be positive, got {tol}")
+
+
 def fundsol_fourier(rho: float, grid: Grid, tol: float = 1e-9) -> GridField:
     """Fundamental solution by Fourier synthesis of the a_kl coefficients.
 
@@ -205,6 +210,7 @@ def fundsol_fourier(rho: float, grid: Grid, tol: float = 1e-9) -> GridField:
     the l-sum stops once its exponential tail bound is below tol.
     """
     _check_not_near_integer(rho)
+    _check_tol(tol)
     if rho < 0:
         return _reflect(fundsol_fourier(-rho, grid, tol), rho)
     meta = {"kind": "fundsol_fourier", "rho": rho, "tol": tol,
@@ -350,8 +356,7 @@ def fundsol_weierstrass(rho: float, grid: Grid, tol: float = 1e-9) -> GridField:
     term's bound on the grid falls below tol/10.
     """
     _check_not_near_integer(rho)
-    if not tol > 0:
-        raise ConfigError(f"tol must be positive, got {tol}")
+    _check_tol(tol)
     if rho < 0:
         return _reflect(fundsol_weierstrass(-rho, grid, tol), rho)
     P = grid.spec.P
@@ -382,6 +387,7 @@ def fundsol_generalized(p: int, grid: Grid, tol: float = 1e-9) -> GridField:
     p = int(p)
     if p < 0:
         raise ConfigError("generalized kernel takes p >= 0; reflect for p < 0")
+    _check_tol(tol)
     meta = {"kind": "fundsol_generalized", "p": p, "tol": tol,
             "singular_cell": (0, 0), "gauge": "resonant_modes_zeroed",
             "normalization": "unit_dirac", "sampling": "lattice_offsets"}

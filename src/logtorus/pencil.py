@@ -24,19 +24,26 @@ A(rho) = K + 2*rho*B + rho^2*I are positive, so on one 4-connected
 component A(rho) is an irreducible Metzler matrix.  By Perron-Frobenius
 its rightmost eigenvalue mu(rho) is real and simple, and its eigenvector
 is the only one of a single sign.  rho(D) is therefore the least
-positive root of mu, with mu(0) = -lambda_1(-K) < 0.  Each evaluation of
-mu is one real n x n shift-invert Arnoldi solve at the shift rho^2,
-which lies above mu because every row sum of A(rho) is at most rho^2;
-an evaluation counts only if its eigenvector has a single sign, which
-certifies it as the Perron pair.  A safeguarded secant in rho^2 brackets
-and refines the root; mu is not monotone, and the search stops without
-a value below rho*hx = 1.
+positive root of mu, with mu(0) = -lambda_1(-K) < 0.  rho_min solves
+A(rho) q = 0 for rho and q together by residual inverse iteration: a
+few LUs of A(sigma) at shifts sigma near the root, each reused for
+several solves, and rho from the scalar quadratic w^T A(rho) q = 0 with
+a left iterate w.  The answer is certified as the Perron pair by its
+residual TOL_RES and a single-signed q: a positive null vector of
+A(rho) is its Perron vector.  No eigen-solver runs unless a safeguard
+fires: the iterates stay in a bracket whose ends carry certified signs
+of mu (Collatz-Wielandt bounds, or Perron evaluations), and a step that
+leaves it, passes rho*hx = RHO_HX_MAX or loses the sign is replaced by
+one Perron evaluation, a real shift-invert Arnoldi solve at the shift
+rho^2, which lies above mu because every row sum of A(rho) is at most
+rho^2.  mu is not monotone, and the search stops without a value below
+rho*hx = 1.
 
-Every LU here, the real Perron ones and the complex contour ones, is
-built by operators.LinearSystem, one at a time.  ARPACK and the contour
-solves call its SuperLU factor directly, without LinearSystem's
-residual check: each returned pair is certified by TOL_RES instead, and
-a Perron pair also by its sign.
+Every LU here, the real ones of rho_min and the complex contour ones,
+is built by operators.LinearSystem, one at a time.  The iteration,
+ARPACK and the contour solves call its SuperLU factor directly, without
+LinearSystem's residual check: each returned pair is certified by
+TOL_RES instead, and a Perron pair also by its sign.
 """
 
 from __future__ import annotations
@@ -70,12 +77,14 @@ PROBES_MAX = 64         # bound of the block grown once from the count estimate
 SAT_TOL = 1e-9          # filtered singular value, per unit probe norm, that is resolved
 PROBE_SEED = 2012       # the probes are the same on every call
 
-# rho_min: Perron evaluations stop below rho*hx = RHO_HX_MAX, where the
+# rho_min: the iteration stays below rho*hx = RHO_HX_MAX, where the
 # x-couplings 1/hx^2 - rho/hx of A(rho) are still positive
 RHO_HX_MAX = 0.999
-MAX_EVALS = 40
+MAX_FACTORS = 40        # LUs per component, the Perron fallbacks' included
+START_STEPS = 3         # inverse iterations of -K from ones
+REFACTOR_RATIO = 0.5    # refactor when a step cuts the residual by less
 TOL_X = 1e-12           # relative root tolerance
-GROW_MAX = 4.0          # largest upward step factor in rho^2 before a sign change
+GROW_MAX = 4.0          # largest upward fallback factor in rho^2 before a sign change
 SIGN_TOL = 1e-10        # most negative entry of a peak-normalized Perron vector
 
 
@@ -117,10 +126,24 @@ class PencilSystem:
         hx, hy = mask.grid.hx, mask.grid.hy
         self._kscale = 4.0 / hx ** 2 + 4.0 / hy ** 2
         self._bscale = 1.0 / hx
+        self.factorizations = 0     # real LUs and solves of perron and rho_min
+        self.solves = 0
 
     # -- residual and certification -----------------------------------
-    def residual(self, rho: complex, q: np.ndarray) -> float:
-        r = self.K @ q + 2.0 * rho * (self.B @ q) + rho * rho * q
+    def apply(self, rho: complex, q: np.ndarray, trans: bool = False) -> np.ndarray:
+        """A(rho) q, or A(rho)^T q."""
+        K, B = (self.K.T, self.B.T) if trans else (self.K, self.B)
+        return K @ q + 2.0 * rho * (B @ q) + rho * rho * q
+
+    def matrix(self, rho: complex) -> sparse.csc_matrix:
+        """A(rho) = K + 2*rho*B + rho^2*I."""
+        return (self.K + 2.0 * rho * self.B
+                + rho * rho * sparse.identity(self.n, format="csc")).tocsc()
+
+    def residual(self, rho: complex, q: np.ndarray, r: Optional[np.ndarray] = None) -> float:
+        """Relative residual of (rho, q); r = A(rho) q when already known."""
+        if r is None:
+            r = self.apply(rho, q)
         scale = (self._kscale + 2.0 * abs(rho) * self._bscale + abs(rho) ** 2)
         return float(np.linalg.norm(r) / (np.linalg.norm(q) * scale))
 
@@ -134,6 +157,22 @@ class PencilSystem:
         vals = self.opK.embed(q)
         return GridField(self.mask.grid, vals, {"bc": self.bc})
 
+    # -- real factors, counted ------------------------------------------
+    def factor(self, matrix: sparse.spmatrix):
+        """SuperLU factor of a real n x n matrix, built by LinearSystem.
+
+        Its callers certify their answers by residual and sign, so they
+        solve through the factor directly, without LinearSystem's check."""
+        self.factorizations += 1
+        return LinearSystem(replace(self.opK, matrix=matrix)).lu
+
+    def solve(self, lu, v: np.ndarray, trans: str = "N") -> np.ndarray:
+        self.solves += 1
+        u = lu.solve(v, trans=trans)
+        if not np.all(np.isfinite(u)):
+            raise SolverFailure("solution is not finite")
+        return u
+
     # -- eigenvalue engines --------------------------------------------
     def perron(self, rho: float):
         """Perron pair (mu, q) of the real matrix A(rho), rho*hx < 1.
@@ -145,9 +184,8 @@ class PencilSystem:
         pair, which the caller checks.
         """
         n = self.n
-        # ARPACK calls the factor directly: the sign check certifies the pair
-        lu = LinearSystem(replace(self.opK, matrix=-self.K - 2.0 * rho * self.B)).lu
-        op = LinearOperator((n, n), matvec=lu.solve, dtype=float)
+        lu = self.factor(-self.K - 2.0 * rho * self.B)
+        op = LinearOperator((n, n), matvec=lambda v: self.solve(lu, v), dtype=float)
         try:
             theta, v = eigs(op, k=1, which="LM", v0=np.ones(n))
         except ArpackNoConvergence as exc:
@@ -205,14 +243,12 @@ class PencilSystem:
         as one real (2, n, L) array; one complex LU at a time."""
         center, a, b = contour
         radius = max(a, b)
-        eye = sparse.identity(self.n, format="csc")
         BV = self.B @ V
         S = np.zeros((2,) + V.shape)
         for t in np.pi * (np.arange(NODES // 2) + 0.5) / (NODES // 2):
             z = center + a * np.cos(t) + 1j * b * np.sin(t)
             w = (-a * np.sin(t) + 1j * b * np.cos(t)) / (1j * NODES)
-            T = self.K + 2.0 * z * self.B + z * z * eye
-            lu = LinearSystem(replace(self.opK, matrix=T)).lu
+            lu = LinearSystem(replace(self.opK, matrix=self.matrix(z))).lu
             # one column at a time: SuperLU solves a block through BLAS-3
             # calls that multi-threaded OpenBLAS splits, and the spinning
             # worker then slows the single-threaded work that follows
@@ -320,65 +356,125 @@ class RhoMinResult:
     meta: dict
 
 
-def _component_rho_min(mask: DomainMask, bc: str) -> RhoMinResult:
-    """Least positive root of mu on one component by a safeguarded
-    secant in t = rho^2, in which mu is close to linear: an upward
-    search for a sign change, then secant steps that fall back to
-    bisection when they leave the bracket.  mu need not be monotone, so
-    no step assumes it; every loop is capped by MAX_EVALS."""
-    system = PencilSystem(mask, bc=bc)
-    t_cap = (RHO_HX_MAX / mask.grid.hx) ** 2
-    meta: dict = {"bc": bc, "mode": "perron", "evaluations": 0}
-    pts: list = []                          # (t, mu) in evaluation order
+def _positive_root(system: PencilSystem, q: np.ndarray, w: np.ndarray, near: float):
+    """The positive root nearest `near` of w^T A(rho) q = 0, a quadratic
+    in rho, or None when it has none."""
+    a, b, c = w @ q, w @ (system.B @ q), w @ (system.K @ q)
+    disc = b * b - a * c
+    if a == 0.0 or disc < 0.0:
+        return None
+    roots = [x for x in ((-b + np.sqrt(disc)) / a, (-b - np.sqrt(disc)) / a) if x > 0.0]
+    return min(roots, key=lambda x: abs(x - near), default=None)
 
-    def evaluate(t):
-        mu, q = system.perron(np.sqrt(t))
-        pts.append((t, mu))
-        meta["evaluations"] = len(pts)
-        meta["sign_margin"] = float(q.min())
-        if q.min() < -SIGN_TOL:
-            raise SolverFailure(f"Perron vector changes sign at rho={np.sqrt(t):.6g} "
-                                f"(rho*hx={np.sqrt(t) * mask.grid.hx:.3g})")
-        return mu, q
+
+def _component_rho_min(mask: DomainMask, bc: str) -> RhoMinResult:
+    """Least positive root of mu on one component by residual inverse
+    iteration on (rho, q) inside a certified bracket; see rho_min."""
+    system = PencilSystem(mask, bc=bc)
+    cap = RHO_HX_MAX / mask.grid.hx
+    meta: dict = {"bc": bc, "mode": "rii", "evaluations": 0, "fallbacks": 0}
+    lo, hi = 0.0, None                      # certified mu(lo) < 0 <= mu(hi)
+
+    def stop(reason, message):
+        meta["stop"] = reason
+        raise SolverFailure(message)
+
+    def budget():
+        if system.factorizations >= MAX_FACTORS:
+            stop("factorizations", f"no convergence in {MAX_FACTORS} factorizations")
+
+    def interior(base):
+        """Bisection in rho^2 once hi exists, else a climb from base."""
+        if hi is not None:
+            return float(np.sqrt(0.5 * (lo * lo + hi * hi)))
+        return min(np.sqrt(GROW_MAX) * base, cap)
 
     try:
-        mu, q = evaluate(0.0)               # mu(0) = -lambda_1(-K) < 0
-        lo, hi = 0.0, None
-        t = min(-mu, t_cap)                 # rho^2 = lambda_1 if B were skew
+        # -K is a nonsingular M-matrix: ones map to q > 0 with K q < 0,
+        # so mu(0) < 0, and q starts near the Perron vector of A(0)
+        lu = system.factor(-system.K)
+        q = np.ones(system.n)
+        for _ in range(START_STEPS):
+            q = system.normalize(system.solve(lu, q))
+        w = q                               # -K is symmetric
+        rho = _positive_root(system, q, w, 0.0)
+        sigma = prev = None                 # shift of lu; (rho, residual) before
         while True:
-            if len(pts) >= MAX_EVALS:
-                raise SolverFailure(f"no convergence in {MAX_EVALS} evaluations")
-            mu, q = evaluate(t)
-            slope = (mu - pts[-2][1]) / (t - pts[-2][0])
-            if mu < 0.0:
-                lo = t
-            else:
-                hi = t
-            meta["bracket"] = (float(np.sqrt(lo)),
-                               None if hi is None else float(np.sqrt(hi)))
-            if (abs(mu) <= TOL_X * t * abs(slope)
-                    or (hi is not None and hi - lo <= TOL_X * hi)):
+            meta["evaluations"] += 1
+            r = system.apply(rho, q)
+            res = system.residual(rho, q, r)
+            if q.min() > 0.0:               # Collatz-Wielandt: sign of mu(rho)
+                ratio = r / q
+                if ratio.max() < 0.0:
+                    lo = rho
+                elif ratio.min() > 0.0:
+                    hi = rho
+            if (prev is not None and abs(rho - prev[0]) <= TOL_X * rho
+                    and res <= TOL_RES and q.min() >= -SIGN_TOL
+                    and lo <= rho <= (np.inf if hi is None else hi)):
                 break
-            step = -mu / slope if slope != 0.0 else np.inf
-            if hi is None:
-                if t >= t_cap:
-                    raise SolverFailure(
-                        f"no Perron root below rho*hx={RHO_HX_MAX} "
-                        f"(mu({np.sqrt(t):.6g}) = {mu:.3g})")
-                t = min(t + step if slope > 0.0 else np.inf, GROW_MAX * t, t_cap)
+            if sigma is None or res > REFACTOR_RATIO * prev[1]:
+                sigma = rho                 # inverse iteration at the new shift
+                budget()
+                lu = None                   # one LU at a time
+                lu = system.factor(system.matrix(sigma))
+                q_new, w_new = system.solve(lu, q), system.solve(lu, w, "T")
+                # A(sigma) y = q > 0 with y of one sign is a Collatz-Wielandt
+                # bound on mu(sigma) of that sign
+                if q.min() > 0.0 and q_new.max() < 0.0:
+                    lo = sigma
+                elif q.min() > 0.0 and q_new.min() > 0.0:
+                    hi = sigma
+            else:                           # residual inverse iteration
+                q_new = q - system.solve(lu, r)
+                w_new = w - system.solve(lu, system.apply(rho, w, trans=True), "T")
+            prev = (rho, res)
+            q, w = system.normalize(q_new), system.normalize(w_new)
+            step = _positive_root(system, q, w, rho)
+            top = cap if hi is None else hi
+            if step is not None and lo <= step <= top and q.min() >= -SIGN_TOL:
+                rho = step
+                continue
+            # the step left the bracket, passed the cap or lost the sign:
+            # one Perron evaluation inside the bracket restarts the iteration
+            if step is not None and lo < step < top:
+                target = step               # only the sign was lost
+            elif hi is None and step is not None and step > cap:
+                target = cap
             else:
-                t = t + step
-                if not lo < t < hi:
-                    t = 0.5 * (lo + hi)
+                target = interior(max(lo, rho))
+            meta["fallbacks"] += 1
+            budget()
+            lu = None
+            mu, q = system.perron(target)
+            if q.min() < -SIGN_TOL:
+                stop("sign", f"Perron vector changes sign at rho={target:.6g} "
+                             f"(rho*hx={target * mask.grid.hx:.3g})")
+            if mu >= 0.0:
+                hi = target
+            elif target >= cap:
+                stop("cap", f"no Perron root below rho*hx={RHO_HX_MAX} "
+                            f"(mu({target:.6g}) = {mu:.3g})")
+            else:
+                lo = target
+            w = q
+            rho = _positive_root(system, q, w, target)
+            if rho is None or not lo < rho < (cap if hi is None else hi):
+                rho = interior(lo)
+            sigma = prev = None
     except SolverFailure as exc:
+        meta.setdefault("stop", "solver")
         meta["note"] = str(exc)
-        return RhoMinResult(None, None, None, meta)
-    rho = float(np.sqrt(t))
-    res = system.residual(rho, q)
-    if res > TOL_RES:
-        meta["note"] = f"residual {res:.2e} > {TOL_RES:.0e} at rho={rho:.6g}"
-        return RhoMinResult(None, None, None, meta)
-    return RhoMinResult(rho, system.embed_field(q, real=True), res, meta)
+        return RhoMinResult(None, None, None, _work(meta, system, lo, hi))
+    meta.update(stop="converged", sign_margin=float(q.min()))
+    return RhoMinResult(float(rho), system.embed_field(q, real=True), res,
+                        _work(meta, system, lo, hi))
+
+
+def _work(meta: dict, system: PencilSystem, lo: float, hi: Optional[float]) -> dict:
+    meta.update(factorizations=system.factorizations, solves=system.solves,
+                bracket=(float(lo), None if hi is None else float(hi)))
+    return meta
 
 
 def rho_min(mask: DomainMask, bc: str = "face", full_result: bool = False):
@@ -387,14 +483,47 @@ def rho_min(mask: DomainMask, bc: str = "face", full_result: bool = False):
     rho*hx = RHO_HX_MAX; None when no component is connected on spirals
     or no root is found (the reason is in meta['note']).
 
+    Each component solves A(rho) q = 0 for rho and q together by
+    residual inverse iteration (A. Neumaier, SIAM J. Numer. Anal. 22,
+    1985).  START_STEPS inverse iterations of -K from ones start q; a
+    left vector w starts equal to q.  rho is the root, nearest the last
+    rho, of the scalar quadratic w^T A(rho) q = 0.  The iteration factors
+    A(sigma) at sigma = rho, makes one inverse-iteration step q <-
+    A(sigma)^-1 q (w by the transposed solve), and then steps q <- q -
+    A(sigma)^-1 A(rho) q (w likewise with A^T) until a step cuts the
+    relative residual by less than REFACTOR_RATIO, which refactors at the
+    current rho.  The left vector makes the quadratic's root accurate to
+    the product of the two vectors' errors; with w = q the root is only
+    first-order accurate, and on the winding tubes, where B is far from
+    normal, the shifts then creep towards the root.  It stops when
+    |d rho| <= TOL_X*rho, the residual is <= TOL_RES and q has one sign
+    (SIGN_TOL): a positive null vector of the irreducible Metzler A(rho)
+    is its Perron vector, so mu(rho) = 0.
+
+    A bracket (lo, hi) with mu(lo) < 0 <= mu(hi) holds every iterate.
+    Its ends move only on certificates: mu(0) < 0 from the start, a
+    Collatz-Wielandt bound from a positive iterate (A(rho) q < 0 or > 0),
+    the solve A(sigma) y = q > 0 at a new shift when y has one sign (the
+    bound on -y or y), and Perron evaluations.  A step that leaves the
+    bracket, passes the cap or loses the sign falls back to one
+    PencilSystem.perron evaluation inside it (by bisection in rho^2 once
+    hi exists, upward by at most GROW_MAX in rho^2 before), which feeds
+    the bracket and restarts the iteration from its Perron vector.  A
+    negative mu at the cap ends the search without a value.  Every
+    component stops within MAX_FACTORS LUs, the fallbacks' included,
+    and a step that keeps its LU cuts the residual by REFACTOR_RATIO.
+
     For multi-component masks the minimum over components is returned
     (the widest component governs).  With full_result the RhoMinResult
     carries the peak-normalized positive eigenfunction, its relative
-    residual, and meta: mode 'perron', evaluations (Perron eigen-solves
-    over all components), the final bracket (lo, hi) of the returned
-    component (hi is None when the root was reached from below) and the
-    sign margin (least entry of the peak-normalized eigenvector).  The
-    solve is deterministic: the Perron iteration starts from ones.
+    residual, and meta: mode 'rii'; factorizations, solves, fallbacks
+    (Perron evaluations, whose LUs and ARPACK solves the first two
+    include) and evaluations (iterates, each one root of the quadratic),
+    all summed over components; and, of the returned component, the
+    stop reason ('converged', 'cap', 'sign', 'factorizations' or
+    'solver'), the final certified bracket (lo, hi) (hi is None when
+    the root was reached from below) and the sign margin (least entry of
+    the peak-normalized eigenvector).  The solve is deterministic.
     """
     if mask.n_components == 1:
         parts = [mask]
@@ -411,8 +540,10 @@ def rho_min(mask: DomainMask, bc: str = "face", full_result: bool = False):
         best = results[0]
     else:
         best = RhoMinResult(None, None, None, {
-            "mode": "perron", "note": "no component connected on spirals"})
-    best.meta["evaluations"] = sum(r.meta["evaluations"] for r in results)
+            "mode": "rii", "stop": "disconnected",
+            "note": "no component connected on spirals"})
+    for key in ("evaluations", "factorizations", "solves", "fallbacks"):
+        best.meta[key] = sum(r.meta[key] for r in results)
     h = max(mask.grid.hx, mask.grid.hy)
     if best.value is not None and best.value * h > 1.0:
         best.meta["grid_limited"] = True

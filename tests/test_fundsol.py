@@ -112,6 +112,16 @@ def test_weierstrass_rejects_a_tolerance_it_cannot_reach():
             fundsol_weierstrass(1.5, GRID, tol=tol)
 
 
+@pytest.mark.parametrize("kernel", [lambda tol: fundsol_fourier(1.5, GRID, tol=tol),
+                                    lambda tol: fundsol_generalized(1, GRID, tol=tol)],
+                         ids=["fourier", "generalized"])
+@pytest.mark.parametrize("tol", [0.0, -1.0])
+def test_synthesis_rejects_a_nonpositive_tolerance(kernel, tol):
+    # the l-sum's length is log(1/tol)/hx: 0 overflows, -1 is NaN
+    with pytest.raises(ConfigError, match="tol must be positive"):
+        kernel(tol)
+
+
 def test_single_weierstrass_factor_value():
     # H(u, 0) at u = -1 is log 2
     assert float(_weier_term(0.0, np.pi, 0, 0.0)) == pytest.approx(np.log(2.0))

@@ -20,7 +20,7 @@ from logtorus.pencil import (
 )
 from logtorus.torus import (
     Band, Disc, Grid, ShapeUnion, Strip, TorusSpec, Tube, build_domain,
-    mask_from_inside, translate_mask,
+    components, mask_from_inside, translate_mask,
 )
 
 LOG2 = float(np.log(2.0))
@@ -55,12 +55,14 @@ def count_factorizations(monkeypatch) -> list:
     return dofs
 
 
-def test_rho_min_factors_once_per_perron_evaluation(monkeypatch):
+def test_rho_min_counts_its_factorizations(monkeypatch):
+    # the -K start and one shift: a strip converges on its first shift
     mask = build_domain(SPEC, 40, 40, Strip(-np.pi / 4, np.pi / 4))
     lus = count_factorizations(monkeypatch)
     r = rho_min(mask, full_result=True)
     assert r.value == pytest.approx(2.0, rel=0.02)
-    assert len(lus) == r.meta["evaluations"] >= 2
+    assert len(lus) == r.meta["factorizations"] <= 3
+    assert r.meta["fallbacks"] == 0
     assert set(lus) == {int(mask.inside.sum())}
 
 
@@ -334,6 +336,20 @@ def test_rho_min_agrees_with_dense_companion(name):
     assert r.residual <= 1e-8
 
 
+@pytest.mark.parametrize("n", [32, 64])
+def test_unresolved_tube_stops_within_bounded_factorizations(monkeypatch, n):
+    # the iteration climbs past certified mu < 0 shifts and turns back;
+    # one Perron evaluation at the cap then ends the search
+    mask = build_domain(SPEC, n, n, Tube(2, 0, 0.12))
+    lus = count_factorizations(monkeypatch)
+    r = rho_min(mask, full_result=True)
+    assert r.value is None
+    assert r.meta["note"].startswith("no Perron root below rho*hx=")
+    assert r.meta["stop"] == "cap" and r.meta["fallbacks"] >= 1
+    assert len(lus) == r.meta["factorizations"] <= 10
+    assert "grid_limited" not in r.meta
+
+
 def test_unresolved_tube_stops_below_grid_limit():
     mask = build_domain(SPEC, 64, 64, Tube(2, 0, 0.12))
     assert mask.spiral_of(0).connected
@@ -359,10 +375,10 @@ def test_tube_k5_rho_min_matches_straight_strip_law():
     assert rho_min(mask) == pytest.approx(expect, rel=tol)
 
 
-def tube_k4(nx, ny):
+def tube_k4(nx, ny, l=0):
     k, P = 4, LOG2
     eps_max = np.pi * P / np.sqrt((k * P) ** 2 + 4 * np.pi ** 2)
-    return build_domain(SPEC, nx, ny, Tube(k, 0, 0.69 * eps_max))
+    return build_domain(SPEC, nx, ny, Tube(k, l, 0.69 * eps_max))
 
 
 # the 32x128 tube of the benchmark has 2944 interior cells, whose dense
@@ -448,14 +464,128 @@ PENCIL_DOMAINS = {
 
 
 @pytest.mark.parametrize("name", PENCIL_DOMAINS)
-def test_rho_min_reports_its_perron_work(name):
-    r = rho_min(PENCIL_DOMAINS[name](), full_result=True)
-    assert r.meta["mode"] == "perron"
-    assert r.meta["evaluations"] <= 40
+def test_rho_min_reports_its_perron_work(monkeypatch, name):
+    mask = PENCIL_DOMAINS[name]()
+    lus = count_factorizations(monkeypatch)
+    r = rho_min(mask, full_result=True)
+    assert r.meta["mode"] == "rii"
+    assert len(lus) == r.meta["factorizations"] <= pencil.MAX_FACTORS * mask.n_components
+    assert r.meta["fallbacks"] <= r.meta["factorizations"]
     if r.value is None:
-        assert r.meta["note"]
+        assert r.meta["note"] and r.meta["stop"] != "converged"
         return
-    assert r.meta["evaluations"] >= 2
+    assert r.meta["stop"] == "converged"
+    assert r.meta["solves"] >= r.meta["evaluations"] >= 2
     lo, hi = r.meta["bracket"]
     assert lo <= r.value and (hi is None or r.value <= hi)
     assert r.meta["sign_margin"] >= 0.0
+
+
+def secant_rho_min(mask, bc="face"):
+    """The secant on Perron evaluations that rho_min used before the
+    residual inverse iteration, kept as a reference: the least value of
+    a safeguarded secant in t = rho^2 on the components connected on
+    spirals, each evaluation one ARPACK shift-invert solve."""
+    values = []
+    for part in components(mask):
+        if not part.spiral_of(0).connected:
+            continue
+        system = PencilSystem(part, bc=bc)
+        t_cap = (pencil.RHO_HX_MAX / part.grid.hx) ** 2
+        pts = []
+
+        def evaluate(t):
+            mu, q = system.perron(np.sqrt(t))
+            pts.append((t, mu))
+            assert q.min() >= -pencil.SIGN_TOL
+            return mu
+
+        mu = evaluate(0.0)
+        lo, hi = 0.0, None
+        t = min(-mu, t_cap)
+        while True:
+            assert len(pts) < 40
+            mu = evaluate(t)
+            slope = (mu - pts[-2][1]) / (t - pts[-2][0])
+            if mu < 0.0:
+                lo = t
+            else:
+                hi = t
+            if (abs(mu) <= pencil.TOL_X * t * abs(slope)
+                    or (hi is not None and hi - lo <= pencil.TOL_X * hi)):
+                break
+            step = -mu / slope if slope != 0.0 else np.inf
+            if hi is None:
+                assert t < t_cap
+                t = min(t + step if slope > 0.0 else np.inf, pencil.GROW_MAX * t, t_cap)
+            else:
+                t = t + step
+                if not lo < t < hi:
+                    t = 0.5 * (lo + hi)
+        values.append(float(np.sqrt(t)))
+    return min(values)
+
+
+def tube_k5():
+    k, P = 5, LOG2
+    eps = 0.69 * np.pi * P / np.sqrt((k * P) ** 2 + 4 * np.pi ** 2)
+    return build_domain(SPEC, 48, 240, Tube(k, 0, eps))
+
+
+# the classes of rho_min jobs of the benchmark's critical workload
+REFERENCE_DOMAINS = {
+    "strip40": lambda: build_domain(SPEC, 40, 40, Strip(-0.6, 0.6)),
+    "strip128_narrow": lambda: build_domain(SPEC, 128, 128, Strip(-0.5, 0.5)),
+    "strip128_wide": lambda: build_domain(SPEC, 128, 128, Strip(-1.0, 1.0)),
+    "strip96_minus_disc": lambda: build_domain(
+        SPEC, 96, 96, Strip(-0.6, 0.6) - Disc(0.3, 0.6, 0.32)),
+    "strip96_plus_disc": lambda: build_domain(
+        SPEC, 96, 96, Strip(-0.6, 0.6) | Disc(0.3, 0.6, 0.32)),
+    "two_strips96": lambda: build_domain(
+        SPEC, 96, 96, Strip(-2.2, -1.0) | Strip(0.9, 2.2)),
+    **{f"tube_k4_l{l}": functools.partial(tube_k4, 48, 192, l) for l in range(4)},
+    "tube_k3": lambda: build_domain(SPEC, 48, 144, Tube(3, 1, 0.25)),
+    "tube_k5": tube_k5,
+}
+
+
+@pytest.mark.parametrize("name", REFERENCE_DOMAINS)
+def test_rho_min_matches_the_perron_secant(name):
+    mask = REFERENCE_DOMAINS[name]()
+    r = rho_min(mask, full_result=True)
+    assert r.value == pytest.approx(secant_rho_min(mask), rel=1e-10)
+    assert r.meta["fallbacks"] == 0
+
+
+@pytest.mark.parametrize("bad_step", ["past_cap", "no_root"])
+def test_a_step_out_of_the_bracket_falls_back_to_one_perron_evaluation(
+        monkeypatch, bad_step):
+    # the first step after the start is replaced by one past the cap, or
+    # by a quadratic without a positive root; one Perron evaluation
+    # (at the cap, or inside the bracket) restarts the iteration
+    mask = SMALL_DOMAINS["strip_minus_disc"]()
+    expect = rho_min(mask)
+    cap = pencil.RHO_HX_MAX / mask.grid.hx
+    root = pencil._positive_root
+    calls = []
+
+    def sabotaged(*args):
+        calls.append(args)
+        if len(calls) == 2:
+            return 2.0 * cap if bad_step == "past_cap" else None
+        return root(*args)
+
+    monkeypatch.setattr(pencil, "_positive_root", sabotaged)
+    r = rho_min(mask, full_result=True)
+    assert r.value == pytest.approx(expect, rel=1e-10)
+    assert r.meta["fallbacks"] == 1 and r.meta["stop"] == "converged"
+    lo, hi = r.meta["bracket"]
+    assert lo <= r.value <= hi
+
+
+def test_tube_k4_rho_min_takes_few_factorizations(monkeypatch):
+    mask = tube_k4(48, 192)
+    lus = count_factorizations(monkeypatch)
+    r = rho_min(mask, full_result=True)
+    assert r.value == pytest.approx(18.2122632289833, rel=1e-10)
+    assert len(lus) == r.meta["factorizations"] <= 7
