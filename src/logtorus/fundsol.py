@@ -472,10 +472,11 @@ def representation_check(v: GridField, rho: float,
     The residual measure nu = L_h v (cell masses) is recomputed with the
     assembled operator and the field rebuilt as the potential of nu
     against the grid-exact kernel; for integer rho the resonant plane
-    wave is recovered by fitting C in Re(C e^{ipy}).  A measure passed
-    explicitly for integer rho must carry no resonant Fourier mass, up
-    to the O(h^2) symbol-defect quadrature tolerance, or
-    MassSymmetryViolated is raised.
+    wave is recovered by fitting C in Re(C e^{ipy}) (at rho = 0 the
+    constant C).  A measure passed explicitly for integer rho must carry
+    no resonant Fourier mass, up to the O(h^2) symbol-defect quadrature
+    tolerance, or MassSymmetryViolated is raised; at rho = 0 the
+    resonant mass is the total mass.
     """
     grid = v.grid
     p = int(round(rho))
@@ -489,7 +490,7 @@ def representation_check(v: GridField, rho: float,
     details: dict = {}
     mass = None
     mass_tol = None
-    if integer_case and p != 0:
+    if integer_case:
         hy = grid.hy
         scale = float(np.max(np.abs(v.values))) + 1.0
         mass_tol = (p ** 4 * hy ** 2 / 6.0) * grid.spec.area * scale + 1e-9

@@ -4,10 +4,12 @@ Assembles the five-point form of  L_rho = Laplacian + 2*rho*d/dx + rho^2
 over the inside cells of a region, and its parts kind='laplacian' and
 kind='d_dx' (centered first difference), in one pass over the four
 links of every cell.  A link towards +-x carries c_lap = 1/hx^2 and
-c_dx = +-1/(2*hx), a link towards +-y carries c_lap = 1/hy^2 and no d/dx
-part; the link's coefficient is c = c_lap + 2*rho*c_dx for l_rho, c_lap
-for the Laplacian and c_dx for d/dx.  A link to an inside neighbor puts
-c in the neighbor's column.  Every link subtracts c_lap from the
+c_dx = +-1/(2*hx), a link towards +-y carries c_lap = 1/hy^2 and
+c_dx = 0; the link's coefficient is c = c_lap + 2*rho*c_dx for l_rho,
+c_lap for the Laplacian and c_dx for d/dx.  A link to an inside neighbor
+puts c in the neighbor's column, an explicit zero included, so the three
+kinds share one sparsity pattern and A(rho) = K + 2*rho*B + rho^2*I is a
+combination of their data arrays.  Every link subtracts c_lap from the
 Laplacian part of the diagonal; l_rho's diagonal is that part plus
 2*rho times the d/dx part plus rho^2.  A link to an outside cell (or
 beyond a window's edge, where there is no data cell) follows the
@@ -295,8 +297,6 @@ def _stencil(region: Region, kind: str, rho: complex, bc: str):
     c_rows, c_cells, c_vals = [none], [none], [np.zeros(0)]   # coupling
 
     for dj, di in ((0, 1), (0, -1), (1, 0), (-1, 0)):
-        if kind == "d_dx" and di == 0:
-            continue
         c_lap = 1.0 / region.hx ** 2 if di else 1.0 / region.hy ** 2
         c_dx = di / (2.0 * region.hx)
         c = {"laplacian": c_lap, "d_dx": c_dx}.get(kind, c_lap + two_rho * c_dx)

@@ -1,8 +1,11 @@
 """Quadratic eigenvalue problem for the pencil K + 2*rho*B + rho^2*I.
 
-K is the masked Dirichlet Laplacian, B the centered d/dx; eigenvalues
-rho with a nontrivial kernel make up the discrete spectrum of the
-homogeneous boundary problem  L_rho q = 0, q = 0 on the boundary.
+K is the masked Dirichlet Laplacian, B the centered d/dx, both under the
+operators module's bc='face' rule; eigenvalues rho with a nontrivial
+kernel make up the discrete spectrum of the homogeneous boundary problem
+L_rho q = 0, q = 0 on the boundary.  B is assembled on K's sparsity
+pattern, so every A(rho) is one combination of the two data arrays on
+that pattern, with no sparse addition before a factorization.
 
 spectrum() finds the eigenpairs in a complex box by one contour filter
 (Beyn's integral method, W.-J. Beyn, Linear Algebra Appl. 436, 2012, in
@@ -40,10 +43,12 @@ rho^2.  mu is not monotone, and the search stops without a value below
 rho*hx = 1.
 
 Every LU here, the real ones of rho_min and the complex contour ones,
-is built by operators.LinearSystem, one at a time.  The iteration,
-ARPACK and the contour solves call its SuperLU factor directly, without
-LinearSystem's residual check: each returned pair is certified by
-TOL_RES instead, and a Perron pair also by its sign.
+goes through PencilSystem.factor, which counts it and builds it by
+operators.LinearSystem, one at a time.  The iteration, ARPACK and the
+contour solves go through PencilSystem.solve, which counts them and
+rejects non-finite results, without LinearSystem's residual check: each
+returned pair is certified by TOL_RES instead, and a Perron pair also by
+its sign.
 """
 
 from __future__ import annotations
@@ -115,18 +120,20 @@ class SpectrumResult:
 class PencilSystem:
     """Matrices and solvers for the pencil of one mask."""
 
-    def __init__(self, mask: DomainMask, bc: str = "face"):
+    def __init__(self, mask: DomainMask):
         self.mask = mask
-        self.bc = bc
-        self.opK = assemble(mask, "laplacian", bc=bc)
-        self.opB = assemble(mask, "d_dx", bc=bc)
+        self.opK = assemble(mask, "laplacian")
+        self.opB = assemble(mask, "d_dx")
         self.K = self.opK.matrix.tocsc()
         self.B = self.opB.matrix.tocsc()
         self.n = self.K.shape[0]
+        # B has K's pattern; eye marks the diagonal entries of that pattern
+        cols = np.repeat(np.arange(self.n), np.diff(self.K.indptr))
+        self._eye = (self.K.indices == cols).astype(float)
         hx, hy = mask.grid.hx, mask.grid.hy
         self._kscale = 4.0 / hx ** 2 + 4.0 / hy ** 2
         self._bscale = 1.0 / hx
-        self.factorizations = 0     # real LUs and solves of perron and rho_min
+        self.factorizations = 0     # LUs and solves of perron, rho_min and the filter
         self.solves = 0
 
     # -- residual and certification -----------------------------------
@@ -136,9 +143,13 @@ class PencilSystem:
         return K @ q + 2.0 * rho * (B @ q) + rho * rho * q
 
     def matrix(self, rho: complex) -> sparse.csc_matrix:
-        """A(rho) = K + 2*rho*B + rho^2*I."""
-        return (self.K + 2.0 * rho * self.B
-                + rho * rho * sparse.identity(self.n, format="csc")).tocsc()
+        """A(rho) = K + 2*rho*B + rho^2*I on K's pattern."""
+        return self._on_pattern(self.K.data + 2.0 * rho * self.B.data
+                                + rho * rho * self._eye)
+
+    def _on_pattern(self, data: np.ndarray) -> sparse.csc_matrix:
+        return sparse.csc_matrix((data, self.K.indices, self.K.indptr),
+                                 shape=self.K.shape)
 
     def residual(self, rho: complex, q: np.ndarray, r: Optional[np.ndarray] = None) -> float:
         """Relative residual of (rho, q); r = A(rho) q when already known."""
@@ -155,14 +166,16 @@ class PencilSystem:
         if real:
             q = np.real(self.normalize(q))
         vals = self.opK.embed(q)
-        return GridField(self.mask.grid, vals, {"bc": self.bc})
+        return GridField(self.mask.grid, vals, {"bc": "face"})
 
-    # -- real factors, counted ------------------------------------------
+    # -- factors and solves, counted -------------------------------------
     def factor(self, matrix: sparse.spmatrix):
-        """SuperLU factor of a real n x n matrix, built by LinearSystem.
+        """SuperLU factor of a real or complex n x n matrix, built by
+        LinearSystem.
 
         Its callers certify their answers by residual and sign, so they
-        solve through the factor directly, without LinearSystem's check."""
+        solve through the factor with solve(), without LinearSystem's
+        check."""
         self.factorizations += 1
         return LinearSystem(replace(self.opK, matrix=matrix)).lu
 
@@ -184,7 +197,7 @@ class PencilSystem:
         pair, which the caller checks.
         """
         n = self.n
-        lu = self.factor(-self.K - 2.0 * rho * self.B)
+        lu = self.factor(self._on_pattern(-self.K.data - 2.0 * rho * self.B.data))
         op = LinearOperator((n, n), matvec=lambda v: self.solve(lu, v), dtype=float)
         try:
             theta, v = eigs(op, k=1, which="LM", v0=np.ones(n))
@@ -217,17 +230,15 @@ class PencilSystem:
         S = self._filter(contour, V)
         Q, saturated = _filtered_basis(S, PROBES)
         count, err = _count_estimate(V, S[0])
-        passes = 1
         if saturated:
             L = min(PROBES_MAX, PROBES + max(PROBES, int(np.ceil(count + 3.0 * err))))
             V = _probes(self.n, L)
             S = np.concatenate([S, self._filter(contour, V[:, PROBES:])], axis=2)
             Q, saturated = _filtered_basis(S, L)
             count, err = _count_estimate(V, S[0])
-            passes = 2
         L = V.shape[1]
         info = {"count_estimate": count, "count_error": err, "probes": L,
-                "nodes": NODES, "factorizations": passes * (NODES // 2)}
+                "nodes": NODES, "factorizations": self.factorizations}
         if saturated:
             info["reason"] = (f"filtered block saturated at {L} probes: no singular "
                               f"value below {SAT_TOL:.0e} per unit probe norm, so "
@@ -248,12 +259,12 @@ class PencilSystem:
         for t in np.pi * (np.arange(NODES // 2) + 0.5) / (NODES // 2):
             z = center + a * np.cos(t) + 1j * b * np.sin(t)
             w = (-a * np.sin(t) + 1j * b * np.cos(t)) / (1j * NODES)
-            lu = LinearSystem(replace(self.opK, matrix=self.matrix(z))).lu
+            lu = self.factor(self.matrix(z))
             # one column at a time: SuperLU solves a block through BLAS-3
             # calls that multi-threaded OpenBLAS splits, and the spinning
             # worker then slows the single-threaded work that follows
             R = 2.0 * BV + 2.0 * z * V
-            Y = w * np.column_stack([lu.solve(R[:, k]) for k in range(R.shape[1])])
+            Y = w * np.column_stack([self.solve(lu, R[:, k]) for k in range(R.shape[1])])
             del lu      # one LU at a time
             # the conjugate node contributes the conjugate term
             S[0] += 2.0 * Y.real
@@ -308,8 +319,7 @@ def _filtered_basis(S: np.ndarray, L: int):
     return U[:, keep], bool(keep.all()) and len(sv) == M.shape[1]
 
 
-def spectrum(mask: DomainMask, search_box, max_count: int = 200,
-             bc: str = "face") -> SpectrumResult:
+def spectrum(mask: DomainMask, search_box, max_count: int = 200) -> SpectrumResult:
     """All certified pencil eigenvalues in a box (re0, re1, im0, im1).
 
     Every reported pair satisfies the relative residual bound TOL_RES;
@@ -321,7 +331,7 @@ def spectrum(mask: DomainMask, search_box, max_count: int = 200,
     may be missing.
     """
     re0, re1, im0, im1 = search_box
-    system = PencilSystem(mask, bc=bc)
+    system = PencilSystem(mask)
     values, vectors, info = system.eigs_near(_ellipse(search_box))
     certified = []
     for rho, q in zip(values, vectors.T):
@@ -338,7 +348,7 @@ def spectrum(mask: DomainMask, search_box, max_count: int = 200,
     residuals = np.array([t[1] for t in inbox])
     fields = [system.embed_field(system.normalize(t[2])) for t in inbox]
     meta = {"mode": "contour", "tol_res": TOL_RES, "box": tuple(search_box),
-            "truncated": truncated, "bc": bc,
+            "truncated": truncated,
             "certified_in_contour": len(certified), **info}
     return SpectrumResult(eigenvalues, fields, residuals, mask, meta)
 
@@ -354,6 +364,7 @@ class RhoMinResult:
     eigenfunction: Optional[GridField]
     residual: Optional[float]
     meta: dict
+    per_component: list = field(default_factory=list)
 
 
 def _positive_root(system: PencilSystem, q: np.ndarray, w: np.ndarray, near: float):
@@ -367,12 +378,12 @@ def _positive_root(system: PencilSystem, q: np.ndarray, w: np.ndarray, near: flo
     return min(roots, key=lambda x: abs(x - near), default=None)
 
 
-def _component_rho_min(mask: DomainMask, bc: str) -> RhoMinResult:
+def _component_rho_min(mask: DomainMask) -> RhoMinResult:
     """Least positive root of mu on one component by residual inverse
     iteration on (rho, q) inside a certified bracket; see rho_min."""
-    system = PencilSystem(mask, bc=bc)
+    system = PencilSystem(mask)
     cap = RHO_HX_MAX / mask.grid.hx
-    meta: dict = {"bc": bc, "mode": "rii", "evaluations": 0, "fallbacks": 0}
+    meta: dict = {"mode": "rii", "evaluations": 0, "fallbacks": 0}
     lo, hi = 0.0, None                      # certified mu(lo) < 0 <= mu(hi)
 
     def stop(reason, message):
@@ -477,7 +488,7 @@ def _work(meta: dict, system: PencilSystem, lo: float, hi: Optional[float]) -> d
     return meta
 
 
-def rho_min(mask: DomainMask, bc: str = "face", full_result: bool = False):
+def rho_min(mask: DomainMask, full_result: bool = False):
     """Critical value rho(D): the least positive root of the Perron
     eigenvalue mu(rho) of A(rho) = K + 2*rho*B + rho^2*I, searched below
     rho*hx = RHO_HX_MAX; None when no component is connected on spirals
@@ -516,7 +527,10 @@ def rho_min(mask: DomainMask, bc: str = "face", full_result: bool = False):
     For multi-component masks the minimum over components is returned
     (the widest component governs).  With full_result the RhoMinResult
     carries the peak-normalized positive eigenfunction, its relative
-    residual, and meta: mode 'rii'; factorizations, solves, fallbacks
+    residual, per_component, the value of every component in the order
+    of torus.components (None where the component is not connected on
+    spirals or has no root), and meta: mode 'rii'; factorizations,
+    solves, fallbacks
     (Perron evaluations, whose LUs and ARPACK solves the first two
     include) and evaluations (iterates, each one root of the quadratic),
     all summed over components; and, of the returned component, the
@@ -525,14 +539,10 @@ def rho_min(mask: DomainMask, bc: str = "face", full_result: bool = False):
     the root was reached from below) and the sign margin (least entry of
     the peak-normalized eigenvector).  The solve is deterministic.
     """
-    if mask.n_components == 1:
-        parts = [mask]
-    else:
-        parts = components(mask)
-    results = []
-    for part in parts:
-        if part.spiral_of(0).connected:
-            results.append(_component_rho_min(part, bc))
+    parts = [mask] if mask.n_components == 1 else components(mask)
+    found = [_component_rho_min(part) if part.spiral_of(0).connected else None
+             for part in parts]
+    results = [r for r in found if r is not None]
     valued = [r for r in results if r.value is not None]
     if valued:
         best = min(valued, key=lambda r: r.value)
@@ -544,6 +554,7 @@ def rho_min(mask: DomainMask, bc: str = "face", full_result: bool = False):
             "note": "no component connected on spirals"})
     for key in ("evaluations", "factorizations", "solves", "fallbacks"):
         best.meta[key] = sum(r.meta[key] for r in results)
+    best.per_component = [None if r is None else r.value for r in found]
     h = max(mask.grid.hx, mask.grid.hy)
     if best.value is not None and best.value * h > 1.0:
         best.meta["grid_limited"] = True
@@ -572,8 +583,8 @@ def check_spectrum_symmetries(result: SpectrumResult) -> CheckReport:
     (1) no eigenvalue on the imaginary axis, (2) closure under
     conjugation (to MATCH_RTOL) and under the vertical shift 2*pi*i/P,
     (3) Spec(-D) = -Spec(D) by recomputation on the reflected mask, (4)
-    invariance under whole-cell translation.  The recomputations use the
-    boundary condition of the result.
+    invariance under whole-cell translation.  The recomputations are
+    spectrum() calls in the result's box and its reflection.
 
     The shift is exact for the continuous pencil but only O(h^2) for the
     discrete one, and its error grows with the eigenvalue: a pair (r, t)
@@ -583,13 +594,12 @@ def check_spectrum_symmetries(result: SpectrumResult) -> CheckReport:
     box (0.5, 4.5, -10, 10) at 64^2 to 128^2.  Over the strips of width
     1.6, pi/2, 2*pi/3 and pi, Strip(-0.8, 0.8) - Disc(0.3, 0, 0.3) and the
     torus less one cell, in the boxes (0.5, 4.5, -10, 10), (0.5, 8, -20,
-    20) and (4, 8, -10, 10) under both bc, it is 0.003 to 0.033, while
-    per plain h^2 it ranges from 0.3 to 6.7.
+    20) and (4, 8, -10, 10), it is 0.003 to 0.033, while per plain h^2 it
+    ranges from 0.3 to 6.7.
     """
     mask = result.domain
     P = mask.grid.spec.P
     vals = result.eigenvalues
-    bc = result.meta["bc"]
     details: dict = {}
     tol_re = _tol_real(mask, result.meta["tol_res"])
     details["imaginary_axis_violations"] = [
@@ -624,7 +634,7 @@ def check_spectrum_symmetries(result: SpectrumResult) -> CheckReport:
     details["shift_misses"] = shift_miss
 
     neg_box = (-re1, -re0, -im1, -im0)
-    reflected = spectrum(reflect_mask(mask), neg_box, bc=bc)
+    reflected = spectrum(reflect_mask(mask), neg_box)
     refl_miss = []
     for r in vals:
         t = -r
@@ -635,7 +645,7 @@ def check_spectrum_symmetries(result: SpectrumResult) -> CheckReport:
 
     from .torus import translate_mask
     shifted_mask = translate_mask(mask, 3, 5)
-    translated = spectrum(shifted_mask, result.meta["box"], bc=bc)
+    translated = spectrum(shifted_mask, result.meta["box"])
     trans_miss = [complex(r) for r in vals
                   if match(r, translated.eigenvalues) > MATCH_RTOL]
     details["translation_misses"] = trans_miss
@@ -646,8 +656,7 @@ def check_spectrum_symmetries(result: SpectrumResult) -> CheckReport:
 
 
 def check_monotonicity(mask1: DomainMask, mask2: DomainMask) -> CheckReport:
-    """Strict monotonicity rho(D1) > rho(D2) for D1 strictly inside D2,
-    under bc='face'."""
+    """Strict monotonicity rho(D1) > rho(D2) for D1 strictly inside D2."""
     if not np.all(~mask1.inside | mask2.inside):
         raise ValueError("mask1 must be contained in mask2")
     diff = int((mask2.inside & ~mask1.inside).sum())
@@ -667,7 +676,7 @@ def check_shrinking_limit(masks: Sequence[DomainMask], mask_limit: DomainMask,
                           rtol: float = 0.05) -> CheckReport:
     """rho(D_n) decreases along an increasing exhaustion D_n up to D and
     approaches rho(D); normalized eigenfunctions converge on a fixed
-    compact sub-mask, the first mask eroded by two cells.  bc='face'."""
+    compact sub-mask, the first mask eroded by two cells."""
     values, fields = [], []
     for m in masks:
         r = rho_min(m, full_result=True)
@@ -702,8 +711,7 @@ def matsaev_probe(mask: DomainMask, box=None) -> CheckReport:
 
     The set equality Spec(D) = Spec(-D) is an open question; the probe
     reports the Hausdorff distance without asserting it.  A mask that is
-    its own reflection reuses its spectrum and rho_min for -D.  Both
-    spectra and both rho_min use bc='face'.
+    its own reflection reuses its spectrum and rho_min for -D.
     """
     P = mask.grid.spec.P
     rmin = rho_min(mask)

@@ -170,11 +170,16 @@ class GreenLrho:
     bc: str
 
 
-def _lrho_system(op, rho: float) -> LinearSystem:
+def _lrho_solves(op, rho: float, rhss) -> list:
+    """Solutions of the L_rho system op for each right-hand side, one
+    LinearSystem.solve each on one factorization.  A failed
+    factorization or solve means rho is (numerically) a pencil
+    eigenvalue of the region, and raises RhoInSpectrum."""
     try:
-        return LinearSystem(op)
+        system = LinearSystem(op)
+        return [system.solve(rhs) for rhs in rhss]
     except SolverFailure as exc:
-        raise RhoInSpectrum(f"L_rho system singular at rho={rho}") from exc
+        raise RhoInSpectrum(f"L_rho system singular at rho={rho}: {exc}") from exc
 
 
 def green_lrho(mask: DomainMask, rho: float, sources: Sequence,
@@ -188,22 +193,23 @@ def green_lrho(mask: DomainMask, rho: float, sources: Sequence,
     if rho <= 0 and rho != 0.0:
         raise ConfigError("green_lrho expects rho >= 0")
     op = assemble(mask, "l_rho", rho=rho, bc=bc)
-    system = _lrho_system(op, rho)
     grid = mask.grid
-    cols, cells = [], []
-    vmax = -np.inf
+    cells = []
     for src in sources:
         j, i = src if isinstance(src, tuple) and isinstance(src[0], (int, np.integer)) \
             else cell_of(mask, *src)
         if not mask.inside[j, i]:
             raise ConfigError(f"source cell {(j, i)} is outside the domain")
         cells.append((j, i))
+
+    def unit_mass(cell):
         rhs = np.zeros(op.ndof)
-        rhs[op.dof_index[j, i]] = 1.0 / grid.cell_area
-        try:
-            u = system.solve(rhs)
-        except SolverFailure as exc:
-            raise RhoInSpectrum(f"solve failed at rho={rho}") from exc
+        rhs[op.dof_index[cell]] = 1.0 / grid.cell_area
+        return rhs
+
+    cols = []
+    vmax = -np.inf
+    for (j, i), u in zip(cells, _lrho_solves(op, rho, map(unit_mass, cells))):
         vals = op.embed(np.real(u) if np.iscomplexobj(u) else u)
         vmax = max(vmax, float(vals.max()))
         cols.append(GridField(grid, vals, {"kind": "green_lrho", "rho": rho,
@@ -222,14 +228,11 @@ def _dirichlet_levels(mask: DomainMask, rho: float, f_levels: Sequence,
     """Solve L_rho q = 0 for each boundary data in f_levels on one
     factorization of the mask's system."""
     op = assemble(mask, "l_rho", rho=rho, bc=bc)
-    system = _lrho_system(op, rho)
+    levels = [f.values if isinstance(f, GridField) else np.asarray(f, dtype=float)
+              for f in f_levels]
+    us = _lrho_solves(op, rho, [op.boundary_rhs(data) for data in levels])
     sols = []
-    for f in f_levels:
-        data = f.values if isinstance(f, GridField) else np.asarray(f, dtype=float)
-        try:
-            u = system.solve(op.boundary_rhs(data))
-        except SolverFailure as exc:
-            raise RhoInSpectrum(f"Dirichlet solve failed at rho={rho}") from exc
+    for data, u in zip(levels, us):
         vals = op.embed(np.real(u) if not np.iscomplexobj(data) else u)
         sols.append(GridField(mask.grid, vals, {"kind": "dirichlet_lrho",
                                                 "rho": rho, "bc": bc}))
@@ -278,13 +281,7 @@ def riesz_decompose(v: GridField, mask: DomainMask, rho: float):
     dens = (full.matrix @ v.values.ravel()).reshape(grid.shape)
     inside = mask.inside
     op = full.restrict(~inside)
-    system = _lrho_system(op, rho)
-    rhs_pi = dens[inside]
-    try:
-        pi_dof = system.solve(rhs_pi)
-        q_dof = system.solve(op.boundary_rhs(v.values))
-    except SolverFailure as exc:
-        raise RhoInSpectrum(f"riesz solves failed at rho={rho}") from exc
+    pi_dof, q_dof = _lrho_solves(op, rho, [dens[inside], op.boundary_rhs(v.values)])
     pi_vals = op.embed(pi_dof)
     q_vals = op.embed(q_dof)
     q_vals[~inside] = v.values[~inside]

@@ -44,7 +44,7 @@ from .errors import ConfigError, EmptyInterior, IterationLimit, SolverFailure
 from .operators import LinearSystem, assemble
 from .pencil import erode_periodic, rho_min
 from .torus import (DomainMask, Grid, GridField, Strip, build_domain,
-                    components, mask_from_inside)
+                    mask_from_inside)
 
 __all__ = [
     "SubminorantResult", "maximal_subminorant", "LambdaValue", "lambda_value",
@@ -244,17 +244,9 @@ def _dilate(inside):
 
 def _lambda_of_mask(mask: DomainMask) -> tuple:
     """(max over components of 1/rho, per-component list)."""
-    per = []
-    for c, part in enumerate(components(mask)):
-        sc = mask.spiral_of(c)
-        if not sc.connected:
-            per.append({"component": c, "lambda": 0.0, "rho": None,
-                        "spiral": sc.kind})
-            continue
-        r = rho_min(part)
-        lam = 1.0 / r if r else 0.0
-        per.append({"component": c, "lambda": lam, "rho": r,
-                    "spiral": sc.kind})
+    per = [{"component": c, "lambda": 1.0 / r if r else 0.0, "rho": r,
+            "spiral": mask.spiral_of(c).kind}
+           for c, r in enumerate(rho_min(mask, full_result=True).per_component)]
     value = max((p["lambda"] for p in per), default=0.0)
     return value, per
 
@@ -380,7 +372,12 @@ def minimality_test(v: GridField, rho: float,
     contains a domain M with rho(M) < rho; when the harmonicity set is
     the whole torus the witness subdomains stand in for M, which is
     legitimate since enlarging a domain only lowers rho.  Otherwise
-    undetermined (no complete classification is available)."""
+    undetermined (no complete classification is available).
+
+    details['candidates'] lists the witnesses tried, or every component
+    of the harmonicity set with its rho (None where it is not connected
+    on spirals or has no root); details['witness'] is the first below
+    rho."""
     from .subfunc import is_subfunction
 
     grid = v.grid
@@ -403,32 +400,24 @@ def minimality_test(v: GridField, rho: float,
 
     harm = np.abs(cert.residual.masses) <= cert.threshold
     details["harmonicity_fraction"] = float(harm.mean())
+
+    def below(r):
+        return r is not None and r < rho * (1.0 - 1e-3)
+
     candidates = []
     if harm.all():
         shapes = witnesses if witnesses is not None else _default_witnesses(grid)
         for shape in shapes:
-            wmask = build_domain(grid.spec, grid.nx, grid.ny, shape)
-            r = rho_min(wmask)
+            r = rho_min(build_domain(grid.spec, grid.nx, grid.ny, shape))
             candidates.append({"witness": repr(shape), "rho": r})
-            if r is not None and r < rho * (1.0 - 1e-3):
-                details["witness"] = candidates[-1]
-                details["candidates"] = candidates
-                return MinimalityReport("minimal", rho, True, details)
+            if below(r):
+                break
     elif harm.any():
-        try:
-            hmask = mask_from_inside(grid, harm)
-        except Exception:
-            hmask = None
-        if hmask is not None:
-            for c, part in enumerate(components(hmask)):
-                sc = hmask.spiral_of(c)
-                if not sc.connected:
-                    continue
-                r = rho_min(part)
-                candidates.append({"component": c, "rho": r})
-                if r is not None and r < rho * (1.0 - 1e-3):
-                    details["witness"] = candidates[-1]
-                    details["candidates"] = candidates
-                    return MinimalityReport("minimal", rho, True, details)
+        per = rho_min(mask_from_inside(grid, harm), full_result=True).per_component
+        candidates = [{"component": c, "rho": r} for c, r in enumerate(per)]
     details["candidates"] = candidates
+    for cand in candidates:
+        if below(cand["rho"]):
+            details["witness"] = cand
+            return MinimalityReport("minimal", rho, True, details)
     return MinimalityReport("undetermined", rho, True, details)

@@ -460,6 +460,24 @@ def test_representation_integer_with_symmetric_measure():
     assert abs(rep.fitted_C - 0.7) < 1e-8
 
 
+def test_representation_at_rho_zero_fits_the_constant_and_checks_the_mass():
+    # at rho = 0 the resonant wave is a constant and the resonant mass is
+    # the total mass
+    masses = np.zeros(GRID.shape)
+    masses[5, 3], masses[30, 20] = 0.8, -0.8
+    nu = GridMeasure(GRID, masses)
+    E = discrete_kernel(0.0, GRID, generalized=True)
+    v = GridField(GRID, potential(nu, E).values + 0.37)
+    rep = representation_check(v, 0.0, measure=nu, tol=1e-6)
+    assert rep.passed and rep.max_deviation < 1e-9
+    assert abs(rep.fitted_C - 0.37) < 1e-10
+    assert max(abs(m) for m in rep.mass_integrals) <= rep.mass_tolerance
+    one = GridMeasure.delta(GRID, 5, 3, mass=0.8)
+    with pytest.raises(MassSymmetryViolated):
+        representation_check(GridField(GRID, potential(one, E).values), 0.0,
+                             measure=one)
+
+
 def test_representation_asymmetric_measure_violates():
     p = 1
     nu = GridMeasure.delta(GRID, 9, 4, mass=1.0)

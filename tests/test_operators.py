@@ -74,6 +74,10 @@ def test_matrix_identity_l_equals_k_plus_2rho_b_plus_rho2(where, bc):
         L = assemble(domain, "l_rho", rho=rho, bc=bc).matrix
         combo = K + 2 * rho * B + rho * rho * sparse.identity(K.shape[0])
         assert (L - combo).count_nonzero() == 0
+        # d/dx keeps its y-links as explicit zeros: one pattern for all three
+        for M in (B, L):
+            assert np.array_equal(M.indices, K.indices)
+            assert np.array_equal(M.indptr, K.indptr)
     L0 = assemble(domain, "l_rho", rho=0.0, bc=bc).matrix
     assert (L0 - K).count_nonzero() == 0
 

@@ -6,6 +6,7 @@ eigenfunctions exp(2*pi*i*m*x/P) * sin((rho + 2*pi*m*i/P)(y - alpha));
 this oracle is independent of the matrix pipeline.
 """
 
+import contextlib
 import functools
 import time
 
@@ -112,14 +113,16 @@ def test_spectrum_symmetries_on_strip():
     assert report.passed, report.details
 
 
-def test_spectrum_symmetries_recompute_with_the_result_bc():
-    # reflected and translated spectra must use bc='outside' as well; a
-    # 'face' recomputation misses 6 reflections and 6 translations here
-    mask = build_domain(SPEC, 32, 32, Strip(-0.8, 0.8))
-    res = spectrum(mask, (0.5, 4.5, -10.0, 10.0), bc="outside")
-    details = check_spectrum_symmetries(res).details
-    assert details["reflection_misses"] == []
-    assert details["translation_misses"] == []
+@contextlib.contextmanager
+def pencil_rule(bc):
+    """The pencil is assembled under the 'face' rule.  With bc='outside'
+    the pencil module assembles K and B under the outside rule instead: a
+    second matrix family, whose boundary rows differ, on which the
+    contour filter and the symmetry checks must hold as well."""
+    with pytest.MonkeyPatch.context() as mp:
+        if bc != "face":
+            mp.setattr(pencil, "assemble", functools.partial(operators.assemble, bc=bc))
+        yield
 
 
 @pytest.mark.parametrize("n", [32, 48])
@@ -128,8 +131,9 @@ def test_shift_partners_match_to_an_h2_bound(n, bc):
     # the shift partners of a correct coarse spectrum miss by about
     # 0.022 (h |lambda|)^2 (0.062-0.073 at 32^2), more than a fixed 3 percent
     mask = build_domain(SPEC, n, n, Strip(-0.8, 0.8))
-    res = spectrum(mask, (0.5, 4.5, -10.0, 10.0), bc=bc)
-    report = check_spectrum_symmetries(res)
+    with pencil_rule(bc):
+        res = spectrum(mask, (0.5, 4.5, -10.0, 10.0))
+        report = check_spectrum_symmetries(res)
     assert report.passed, report.details
     h = max(mask.grid.hx, mask.grid.hy)
     assert report.details["shift_coef"] == pytest.approx(pencil.SHIFT_C * h * h)
@@ -141,7 +145,8 @@ def test_shift_partners_match_to_an_h2_bound(n, bc):
     cut = pencil.SpectrumResult(vals[keep],
                                 [f for f, k in zip(res.eigenfunctions, keep) if k],
                                 res.residuals[keep], mask, dict(res.meta))
-    assert check_spectrum_symmetries(cut).details["shift_misses"]
+    with pencil_rule(bc):
+        assert check_spectrum_symmetries(cut).details["shift_misses"]
 
 
 def test_translation_leaves_spectrum_identical():
@@ -398,7 +403,8 @@ def dense_companion_spectrum(name, bc):
     """Residual-certified eigenvalues of the dense 2n x 2n companion."""
     mask = COMPANION_DOMAINS[name]()
     assert mask.n_inside <= DENSE_N_MAX
-    system = PencilSystem(mask, bc=bc)
+    with pencil_rule(bc):
+        system = PencilSystem(mask)
     vals, vecs = system.dense_eigs()
     keep = [k for k in range(len(vals)) if np.isfinite(vals[k])
             and system.residual(vals[k], vecs[:, k]) <= TOL_RES]
@@ -415,7 +421,8 @@ def test_spectrum_matches_dense_companion(name, bc, box):
     re0, re1, im0, im1 = box
     ref = vals[(vals.real >= re0) & (vals.real <= re1)
                & (vals.imag >= im0) & (vals.imag <= im1)]
-    got = spectrum(mask, box, bc=bc).eigenvalues
+    with pencil_rule(bc):
+        got = spectrum(mask, box).eigenvalues
     assert len(got) == len(ref)
     for a, b in ((ref, got), (got, ref)):
         for rho in a:
@@ -434,6 +441,38 @@ def test_spectrum_is_deterministic_and_reports_its_filter():
     assert meta["nodes"] == NODES
     assert meta["certified_in_contour"] >= len(first)
     assert "reason" not in meta
+
+
+def test_spectrum_counts_the_factorizations_of_an_unsaturated_block(monkeypatch):
+    lus = count_factorizations(monkeypatch)
+    mask = SMALL_DOMAINS["strip"]()
+    res = spectrum(mask, (0.5, 4.5, -10.0, 10.0))
+    assert "reason" not in res.meta and res.meta["probes"] == pencil.PROBES
+    assert res.meta["factorizations"] == len(lus) == NODES // 2
+    assert set(lus) == {mask.n_inside}
+
+
+MATRIX_DOMAINS = {
+    "strip": SMALL_DOMAINS["strip"],
+    "strip_minus_disc": SMALL_DOMAINS["strip_minus_disc"],
+    "tube_k4_16x64": lambda: tube_k4(16, 64),
+}
+
+
+@pytest.mark.parametrize("rho", [0.3, 7.7, 2.0 + 3.0j])
+@pytest.mark.parametrize("name", MATRIX_DOMAINS)
+def test_pencil_matrix_is_l_rho_on_the_laplacian_pattern(name, rho):
+    # A(rho) is one combination of data arrays on K's pattern, equal bit
+    # for bit to the assembled L_rho, with no sparse addition
+    mask = MATRIX_DOMAINS[name]()
+    system = PencilSystem(mask)
+    A = system.matrix(rho)
+    for got, own in ((A.indices, system.K.indices), (A.indptr, system.K.indptr)):
+        assert np.shares_memory(got, own)
+    L = operators.assemble(mask, "l_rho", rho=rho).matrix.tocsc()
+    assert A.dtype == L.dtype
+    for got, want in ((A.data, L.data), (A.indices, L.indices), (A.indptr, L.indptr)):
+        assert np.array_equal(got, want)
 
 
 def test_spectrum_beyond_the_bounded_block_is_flagged(monkeypatch):
@@ -463,6 +502,18 @@ PENCIL_DOMAINS = {
 }
 
 
+def test_rho_min_lists_every_component():
+    # two strips and a disc that does not wind: one value per component
+    # connected on spirals, None for the disc
+    mask = build_domain(SPEC, 32, 32, Strip(-2.4, -1.4) | Strip(0.4, 1.6)
+                        | Disc(0.3, -0.5, 0.25))
+    parts = components(mask)
+    assert [p.spiral_of(0).connected for p in parts] == [True, False, True]
+    r = rho_min(mask, full_result=True)
+    assert r.per_component == [rho_min(parts[0]), None, rho_min(parts[2])]
+    assert r.value == min(r.per_component[0], r.per_component[2])
+
+
 @pytest.mark.parametrize("name", PENCIL_DOMAINS)
 def test_rho_min_reports_its_perron_work(monkeypatch, name):
     mask = PENCIL_DOMAINS[name]()
@@ -481,7 +532,7 @@ def test_rho_min_reports_its_perron_work(monkeypatch, name):
     assert r.meta["sign_margin"] >= 0.0
 
 
-def secant_rho_min(mask, bc="face"):
+def secant_rho_min(mask):
     """The secant on Perron evaluations that rho_min used before the
     residual inverse iteration, kept as a reference: the least value of
     a safeguarded secant in t = rho^2 on the components connected on
@@ -490,7 +541,7 @@ def secant_rho_min(mask, bc="face"):
     for part in components(mask):
         if not part.spiral_of(0).connected:
             continue
-        system = PencilSystem(part, bc=bc)
+        system = PencilSystem(part)
         t_cap = (pencil.RHO_HX_MAX / part.grid.hx) ** 2
         pts = []
 

@@ -5,7 +5,9 @@ trigonometric 1-D specialization."""
 import numpy as np
 import pytest
 
-from logtorus.errors import ArcTooWide, EpsTooSmall, RhoAboveCritical
+from logtorus import operators
+from logtorus.errors import (ArcTooWide, EpsTooSmall, RhoAboveCritical,
+                             RhoInSpectrum, SolverFailure)
 from logtorus.fundsol import GridMeasure, discrete_kernel, potential
 from logtorus.operators import LinearSystem
 from logtorus.oracles import strip_green_series, strip_majorant_profile
@@ -279,6 +281,29 @@ def test_riesz_of_green_column_is_pure_potential():
     q, pi = riesz_decompose(v, mask, rho)
     assert np.max(np.abs(q.values[mask.inside])) < 1e-9
     assert np.max(np.abs(pi.values - v.values)[mask.inside]) < 1e-9
+
+
+@pytest.mark.parametrize("fails", ["factor", "solve"])
+@pytest.mark.parametrize("call", ["green_lrho", "dirichlet_lrho", "riesz_decompose"])
+def test_a_failed_lrho_system_raises_rho_in_spectrum(monkeypatch, call, fails):
+    # a singular factorization or a failed solve means rho is (numerically)
+    # a pencil eigenvalue of the mask
+    rho = 0.5
+    mask = build_domain(SPEC, 48, 48, Strip(-np.pi / 2, np.pi / 2))
+    v = bump_subfunction(GRID, rho)
+    run = {"green_lrho": lambda: green_lrho(mask, rho, [(0.35, 0.3)]),
+           "dirichlet_lrho": lambda: dirichlet_lrho(mask, rho, v),
+           "riesz_decompose": lambda: riesz_decompose(v, mask, rho)}[call]
+    if fails == "factor":
+        def splu(*args, **kwargs):
+            raise RuntimeError("Factor is exactly singular")
+        monkeypatch.setattr(operators, "splu", splu)
+    else:
+        def solve(self, rhs, rel_tol=1e-10):
+            raise SolverFailure("solution is not finite")
+        monkeypatch.setattr(LinearSystem, "solve", solve)
+    with pytest.raises(RhoInSpectrum, match=f"rho={rho}"):
+        run()
 
 
 def test_sweep_identity_idempotence_monotonicity_certificate():

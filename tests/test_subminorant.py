@@ -222,6 +222,35 @@ def test_green_like_field_is_undetermined_or_minimal_with_evidence():
         assert rep.details["witness"]["rho"] < rho
 
 
+def test_maximal_minorant_is_minimal_on_a_component_of_its_harmonicity_set():
+    # the minorant of the strip bump is L_3-harmonic off its contact set:
+    # 86% of the torus, whose component 0 has rho(M) = 0.6955 < 3
+    m = strip_bump(GRID, half=np.pi / 4, amp=1.0)
+    v = maximal_subminorant(m, rho=3.0).minorant
+    rep = minimality_test(v, 3.0)
+    assert rep.verdict == "minimal" and rep.certified
+    assert rep.details["harmonicity_fraction"] == pytest.approx(0.856, abs=1e-3)
+    assert rep.details["witness"]["component"] == 0
+    assert rep.details["witness"]["rho"] == pytest.approx(0.6955, abs=1e-4)
+    assert rep.details["witness"] in rep.details["candidates"]
+
+
+def test_harmonic_only_on_a_band_is_undetermined():
+    # a positive density off a vertical band and a point mass (min v < 0):
+    # the harmonicity set is the band, not connected on spirals
+    rho = 1.3
+    X, _ = GRID.meshgrid()
+    band = (X > LOG2 / 4) & (X < 3 * LOG2 / 4)
+    masses = np.where(band, 0.0, 0.3 * GRID.cell_area)
+    masses[11, 2] += 5.0
+    v = potential(GridMeasure(GRID, masses), discrete_kernel(rho, GRID))
+    rep = minimality_test(v, rho)
+    assert rep.verdict == "undetermined" and rep.certified
+    assert rep.details["harmonicity_fraction"] == 0.5
+    assert rep.details["candidates"] == [{"component": 0, "rho": None}]
+    assert "witness" not in rep.details
+
+
 # ---------------------------------------------------------------- reference
 
 def cold_reference(m, rho, tol=1e-9, max_iter=200):
