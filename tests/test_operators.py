@@ -5,11 +5,13 @@ solutions of the Laplace equation, and the discrete maximum principle.
 """
 
 import ast
+import dataclasses
 import pathlib
 
 import numpy as np
 import pytest
 from scipy import sparse
+from scipy.sparse.linalg import splu
 
 from logtorus import operators
 from logtorus.errors import SolverFailure, TargetEmpty
@@ -17,6 +19,7 @@ from logtorus.operators import (
     LinearSystem, LogWindow, PeriodChain, assemble, harmonic_measure,
     harmonic_measure_field, lift_window, region_of, solve_dirichlet,
 )
+from logtorus.pencil import PencilSystem
 from logtorus.torus import (Disc, Grid, Strip, TorusSpec, Tube, build_domain,
                             mask_from_inside)
 
@@ -373,3 +376,42 @@ def test_linear_system_is_the_only_factor_site():
                                          getattr(node, "name", None))
                           for node in ast.walk(ast.parse(path.read_text()))))
     assert users == ["operators.py"]
+
+
+def _strip_bump_free_set(grid):
+    # the free set of an obstacle solve on a strip bump: a band of rows
+    # about 0.9 rad wide whose edges wave with x; the rest is in contact
+    X, Y = grid.meshgrid()
+    return np.abs(Y - 0.05 * np.cos(2 * np.pi * X / grid.spec.P)) < 0.45
+
+
+def test_linear_system_orders_for_less_fill_than_colamd():
+    # both library patterns are structurally symmetric: the A + A^T
+    # minimum-degree order fills far less than SuperLU's default COLAMD
+    grid = Grid(SPEC, 96, 96)
+    obstacle = assemble(grid, "l_rho", rho=1.3).restrict(~_strip_bump_free_set(grid))
+    pencil = PencilSystem(build_domain(SPEC, 96, 96, Strip(-0.8, 0.8), classify=False))
+    ops = [obstacle, dataclasses.replace(pencil.opK, matrix=pencil.matrix(2 + 3j))]
+    for op in ops:
+        pattern = op.matrix.astype(bool).astype(int)
+        assert (pattern != pattern.T).nnz == 0
+        default = splu(op.matrix.tocsc()).nnz
+        assert LinearSystem(op).lu.nnz <= 0.7 * default
+
+
+def test_linear_system_pivots_away_from_a_tiny_diagonal():
+    # 2x2 blocks [[1e-14, 1], [1, 1e-14]] on the x-pairs of a torus grid,
+    # coupled weakly through the Laplacian's other links: the matrix is
+    # well conditioned and structurally symmetric, but a diagonal pivot
+    # would grow the factors by 1e14; the threshold of 1.0 swaps rows
+    grid = Grid(SPEC, 16, 16)
+    op = assemble(grid, "laplacian")
+    links = sparse.triu(op.matrix, 1) + sparse.tril(op.matrix, -1)
+    links = links / abs(links).sum(axis=1).max()
+    pairs = sparse.block_diag([np.array([[1e-14, 1.0], [1.0, 1e-14]])] * (op.ndof // 2))
+    matrix = (pairs + 0.1 * (links - links.multiply(pairs != 0))).tocsr()
+    assert (matrix.diagonal() == 1e-14).all()
+    system = LinearSystem(dataclasses.replace(op, matrix=matrix))
+    want = np.random.default_rng(3).standard_normal(op.ndof)
+    u = system.solve(matrix @ want, rel_tol=1e-10)
+    assert np.allclose(u, want, rtol=0, atol=1e-9)
