@@ -3,7 +3,7 @@
 Library layout:
 
   torus        grids, shape language, rasterized domains, spiral classes
-  operators    discrete operators, Dirichlet solves, harmonic measure,
+  operators    discrete operators, sparse LU solves, harmonic measure,
                covering-window lifts
   pencil       quadratic eigenvalue problem, critical value, symmetries
   martin       growth estimators on the lift (five independent routes)
@@ -23,7 +23,7 @@ from .torus import (TorusSpec, Grid, GridField, DomainMask, SpiralClass,
                     ShapeDifference, build_domain, classify_spiral,
                     components, reflect_mask, translate_mask,
                     mask_from_inside, parse_shape_lines)
-from .operators import (LogWindow, assemble, lift_window, solve_dirichlet,
+from .operators import (LogWindow, assemble, lift_window,
                         harmonic_measure, harmonic_measure_field)
 from .pencil import (SpectrumResult, spectrum, rho_min,
                      check_spectrum_symmetries, check_monotonicity,

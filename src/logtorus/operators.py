@@ -1,33 +1,34 @@
 """Discrete elliptic operators on the torus and on log-plane windows.
 
 Assembles the five-point form of  L_rho = Laplacian + 2*rho*d/dx + rho^2
-over the inside cells of a region, and its parts kind='laplacian' and
-kind='d_dx' (centered first difference), in one pass over the four
-links of every cell.  A link towards +-x carries c_lap = 1/hx^2 and
-c_dx = +-1/(2*hx), a link towards +-y carries c_lap = 1/hy^2 and
-c_dx = 0; the link's coefficient is c = c_lap + 2*rho*c_dx for l_rho,
-c_lap for the Laplacian and c_dx for d/dx.  A link to an inside neighbor
-puts c in the neighbor's column, an explicit zero included, so the three
-kinds share one sparsity pattern and A(rho) = K + 2*rho*B + rho^2*I is a
-combination of their data arrays.  Every link subtracts c_lap from the
-Laplacian part of the diagonal; l_rho's diagonal is that part plus
-2*rho times the d/dx part plus rho^2.  A link to an outside cell (or
+over the inside cells of a region (kind='l_rho'; at rho = 0 it is the
+Laplacian K), and its part kind='d_dx' (centered first difference B),
+in one pass over the four links of every cell.  A link towards +-x
+carries c_lap = 1/hx^2 and c_dx = +-1/(2*hx), a link towards +-y
+carries c_lap = 1/hy^2 and c_dx = 0; the link's coefficient is
+c = c_lap + 2*rho*c_dx for l_rho and c_dx for d/dx.  A link to an
+inside neighbor puts c in the neighbor's column, an explicit zero
+included, so both kinds at every rho share one sparsity pattern and
+A(rho) = K + 2*rho*B + rho^2*I is a combination of their data arrays.
+Every link subtracts c_lap from the Laplacian part of the diagonal;
+l_rho's diagonal is that part plus 2*rho times the d/dx part plus
+rho^2.  A link to an outside cell (or
 beyond a window's edge, where there is no data cell) follows the
 Dirichlet or insulated convention bc:
 
 ``bc='outside'``
     the classical "rows removed" form: the unknown at an outside cell is
     replaced by its data value (data lives at outside cell centers), so
-    the link couples c to the data.  Exact discrete identities (Riesz
-    reconstruction, sweeping) use this.
+    the link couples c to the data.  The Riesz decomposition and
+    sweeping use this, which makes their identities exact.
 
 ``bc='face'``
     data lives on the shared cell face; the outside value is eliminated
     by odd reflection (ghost = 2*data - inside value): the link couples
     2c to the data and subtracts c_lap and c_dx once more from the two
     diagonal parts.  For boundaries aligned with cell faces this
-    restores O(h^2) accuracy and is the default for eigenvalue and
-    boundary-value computations.
+    restores O(h^2) accuracy and is the default: the pencil, the Green
+    function, the Dirichlet problem and harmonic measure use it.
 
 ``bc='neumann'``
     insulated: the link does not count, so it adds its c_lap back to
@@ -44,9 +45,9 @@ OperatorMatrix.restrict(clamp) keeps the rows and columns of the cells
 that stay free and appends the sliced-off columns to the coupling list.
 Outside and clamped cells are disjoint, so boundary_rhs reads one data
 array over all cells.  A caller that clamps many different sets (the
-obstacle solver) assembles once and restricts per set, and the
-bc='outside' operator of a torus mask is the whole-torus operator
-restricted to the mask's complement.
+obstacle solver) assembles once and restricts per set.  The
+bc='outside' operator of a torus mask equals the whole-torus operator
+restricted to the mask's complement, but is assembled over the mask.
 
 Period chains.  The Laplacian of a covering window is block tridiagonal
 across its period blocks of nx columns (Buzbee-Golub-Nielson block
@@ -82,11 +83,11 @@ from .torus import TWO_PI, DomainMask, Grid, GridField
 
 __all__ = [
     "LogWindow", "OperatorMatrix", "Region", "assemble", "lift_window",
-    "solve_dirichlet", "harmonic_measure", "harmonic_measure_field",
+    "harmonic_measure", "harmonic_measure_field",
     "LinearSystem", "PeriodChain", "ChainSweep", "region_of",
 ]
 
-_KINDS = ("laplacian", "d_dx", "l_rho")
+_KINDS = ("l_rho", "d_dx")
 
 
 @dataclass(frozen=True)
@@ -273,7 +274,7 @@ def _stencil(region: Region, kind: str, rho: complex, bc: str):
     into the coupling and the diagonal by the bc rule (outside neighbor;
     beyond-edge cells of windows have no data cell).  The Laplacian and
     d/dx parts of the diagonal are kept apart and combined once, so that
-    l_rho = laplacian + 2*rho*d_dx + rho^2 holds exactly.
+    l_rho = l_rho(0) + 2*rho*d_dx + rho^2 holds exactly.
     """
     if bc not in _BCS:
         raise ConfigError(f"unknown bc {bc!r}")
@@ -299,7 +300,7 @@ def _stencil(region: Region, kind: str, rho: complex, bc: str):
     for dj, di in ((0, 1), (0, -1), (1, 0), (-1, 0)):
         c_lap = 1.0 / region.hx ** 2 if di else 1.0 / region.hy ** 2
         c_dx = di / (2.0 * region.hx)
-        c = {"laplacian": c_lap, "d_dx": c_dx}.get(kind, c_lap + two_rho * c_dx)
+        c = c_dx if kind == "d_dx" else c_lap + two_rho * c_dx
         lap -= c_lap
         link = at + dj * (nx + 2) + di
         dof = nb_dofs[link]
@@ -323,12 +324,7 @@ def _stencil(region: Region, kind: str, rho: complex, bc: str):
         c_cells.append(cell[has_data])
         c_vals.append(np.full(len(c_rows[-1]), 2.0 * c if bc == "face" else c))
 
-    if kind == "laplacian":
-        diag = lap
-    elif kind == "d_dx":
-        diag = dx
-    else:
-        diag = lap + two_rho * dx + rho * rho
+    diag = dx if kind == "d_dx" else lap + two_rho * dx + rho * rho
     rows.append(np.arange(n))
     cols.append(np.arange(n))
     vals.append(diag)
@@ -345,9 +341,9 @@ def assemble(domain, kind: str = "l_rho", rho: complex = 0.0,
     """Assemble a discrete operator over a Grid, DomainMask, or LogWindow.
 
     One stencil pass builds the matrix and the Dirichlet coupling of
-    kind 'laplacian', 'd_dx' or 'l_rho' (see the module docstring);
-    l_rho equals laplacian + 2*rho*d_dx + rho^2*I exactly.  Clamp cells
-    with OperatorMatrix.restrict.
+    kind 'l_rho' or 'd_dx' (see the module docstring); l_rho at rho = 0
+    is the Laplacian, and l_rho equals l_rho(0) + 2*rho*d_dx + rho^2*I
+    exactly.  Clamp cells with OperatorMatrix.restrict.
     """
     if kind not in _KINDS:
         raise ConfigError(f"kind must be one of {_KINDS}")
@@ -436,7 +432,7 @@ class PeriodChain:
         S = np.zeros((X.shape[1], X.shape[1]))
         if inside.any():
             op = assemble(LogWindow(window.grid, 0, 1, window.py_lo, window.py_hi,
-                                    inside.copy()), "laplacian", bc=self.bc)
+                                    inside.copy()), bc=self.bc)
             A = op.matrix
             I = np.concatenate([op.dof_index[left, 0], op.dof_index[right, -1]])
             J = op.dof_index[interior]
@@ -554,20 +550,6 @@ def _field_domain(domain):
     return domain.grid if isinstance(domain, DomainMask) else domain
 
 
-def solve_dirichlet(domain, boundary_data, bc: str = "face") -> GridField:
-    """Solve the Laplace Dirichlet problem on a mask or window.
-
-    boundary_data: array over all cells, read at outside cells adjacent to
-    the interior (cell-center values for bc='outside', face traces for
-    bc='face').  Returns the discrete-harmonic field, zero outside.
-    """
-    data = boundary_data.values if isinstance(boundary_data, GridField) else boundary_data
-    op = assemble(domain, "laplacian", bc=bc)
-    u = LinearSystem(op).solve(op.boundary_rhs(np.asarray(data, dtype=float)))
-    return GridField(_field_domain(domain), op.embed(u),
-                     {"kind": "laplace_dirichlet", "bc": bc})
-
-
 def harmonic_measure_field(domain, target: np.ndarray):
     """Harmonic measure of a target set as a field, under bc='face'.
 
@@ -582,7 +564,7 @@ def harmonic_measure_field(domain, target: np.ndarray):
     if not target.any():
         raise TargetEmpty("harmonic-measure target is empty")
     clamp = target & region.inside
-    op = assemble(domain, "laplacian", bc="face").restrict(clamp)
+    op = assemble(domain).restrict(clamp)
     u = LinearSystem(op).solve(op.boundary_rhs(np.where(target, 1.0, 0.0)))
     values = op.embed(u)
     values[clamp] = 1.0

@@ -122,7 +122,7 @@ class PencilSystem:
 
     def __init__(self, mask: DomainMask):
         self.mask = mask
-        self.opK = assemble(mask, "laplacian")
+        self.opK = assemble(mask)
         self.opB = assemble(mask, "d_dx")
         self.K = self.opK.matrix.tocsc()
         self.B = self.opB.matrix.tocsc()

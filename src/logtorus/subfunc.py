@@ -11,6 +11,10 @@ certified at solver precision.
 Sign conventions follow the unit-Dirac normalization of the kernels:
 the Green function of a mask solves  L_rho g(.,zeta) = delta_zeta  with
 zero boundary values and is nonpositive for 0 < rho < rho(D).
+
+Each Dirichlet operator has one boundary rule (see operators): the
+Green function and the Dirichlet problem use bc='face'; the Riesz
+decomposition and sweeping use bc='outside', through one system.
 """
 
 from __future__ import annotations
@@ -167,7 +171,6 @@ class GreenLrho:
     columns: list
     max_value: float
     sign_ok: bool
-    bc: str
 
 
 def _lrho_solves(op, rho: float, rhss) -> list:
@@ -183,16 +186,16 @@ def _lrho_solves(op, rho: float, rhss) -> list:
 
 
 def green_lrho(mask: DomainMask, rho: float, sources: Sequence,
-               bc: str = "face", allow_sign_violation: bool = False) -> GreenLrho:
-    """Green columns g(., zeta) of L_rho on a mask: unit Dirac mass at
-    each source, zero boundary values.
+               allow_sign_violation: bool = False) -> GreenLrho:
+    """Green columns g(., zeta) of L_rho on a mask under bc='face': unit
+    Dirac mass at each source, zero boundary values.
 
     For 0 < rho < rho(D) every column is nonpositive; a positive value
     beyond GREEN_SIGN_TOL raises RhoAboveCritical unless explicitly allowed.
     """
     if rho <= 0 and rho != 0.0:
         raise ConfigError("green_lrho expects rho >= 0")
-    op = assemble(mask, "l_rho", rho=rho, bc=bc)
+    op = assemble(mask, "l_rho", rho=rho)
     grid = mask.grid
     cells = []
     for src in sources:
@@ -213,21 +216,20 @@ def green_lrho(mask: DomainMask, rho: float, sources: Sequence,
         vals = op.embed(np.real(u) if np.iscomplexobj(u) else u)
         vmax = max(vmax, float(vals.max()))
         cols.append(GridField(grid, vals, {"kind": "green_lrho", "rho": rho,
-                                           "source": (j, i), "bc": bc}))
+                                           "source": (j, i), "bc": "face"}))
     scale = max(abs(c.values).max() for c in cols)
     sign_ok = vmax <= GREEN_SIGN_TOL * (1.0 + scale)
     if not sign_ok and not allow_sign_violation:
         raise RhoAboveCritical(
             f"green column positive (max {vmax:.3e}); rho={rho} is at or "
             "above the critical value of the domain")
-    return GreenLrho(mask, rho, cells, cols, float(vmax), bool(sign_ok), bc)
+    return GreenLrho(mask, rho, cells, cols, float(vmax), bool(sign_ok))
 
 
-def _dirichlet_levels(mask: DomainMask, rho: float, f_levels: Sequence,
-                      bc: str) -> list:
+def _dirichlet_levels(mask: DomainMask, rho: float, f_levels: Sequence) -> list:
     """Solve L_rho q = 0 for each boundary data in f_levels on one
-    factorization of the mask's system."""
-    op = assemble(mask, "l_rho", rho=rho, bc=bc)
+    factorization of the mask's bc='face' system."""
+    op = assemble(mask, "l_rho", rho=rho)
     levels = [f.values if isinstance(f, GridField) else np.asarray(f, dtype=float)
               for f in f_levels]
     us = _lrho_solves(op, rho, [op.boundary_rhs(data) for data in levels])
@@ -235,16 +237,15 @@ def _dirichlet_levels(mask: DomainMask, rho: float, f_levels: Sequence,
     for data, u in zip(levels, us):
         vals = op.embed(np.real(u) if not np.iscomplexobj(data) else u)
         sols.append(GridField(mask.grid, vals, {"kind": "dirichlet_lrho",
-                                                "rho": rho, "bc": bc}))
+                                                "rho": rho, "bc": "face"}))
     return sols
 
 
-def dirichlet_lrho(mask: DomainMask, rho: float, f,
-                   bc: str = "face") -> GridField:
-    """Solve L_rho q = 0 in the mask with boundary data f (values at
-    outside cells; face traces under bc='face').  Unique whenever rho is
+def dirichlet_lrho(mask: DomainMask, rho: float, f) -> GridField:
+    """Solve L_rho q = 0 in the mask under bc='face' with boundary data f
+    (face traces, read at the outside cells).  Unique whenever rho is
     not a pencil eigenvalue; singularity surfaces as RhoInSpectrum."""
-    return _dirichlet_levels(mask, rho, [f], bc)[0]
+    return _dirichlet_levels(mask, rho, [f])[0]
 
 
 def dirichlet_lrho_monotone(mask: DomainMask, rho: float,
@@ -253,7 +254,7 @@ def dirichlet_lrho_monotone(mask: DomainMask, rho: float,
     sequence of continuous levels (3 levels by default upstream), all
     solved under bc='face' on one factorization; the level solutions and
     their successive sups are reported in meta."""
-    sols = _dirichlet_levels(mask, rho, f_levels, "face")
+    sols = _dirichlet_levels(mask, rho, f_levels)
     diffs = [float(np.max(np.abs(b.values - a.values)))
              for a, b in zip(sols, sols[1:])]
     out = sols[-1].copy()
@@ -266,26 +267,33 @@ def dirichlet_lrho_monotone(mask: DomainMask, rho: float,
 # Riesz decomposition and sweeping
 # ----------------------------------------------------------------------
 
+def _outside_system(v: GridField, mask: DomainMask, rho: float) -> tuple:
+    """The mask's bc='outside' L_rho operator, whose data coupling is the
+    torus operator's links to the outside cells, and v's boundary data
+    moved to the right-hand side."""
+    op = assemble(mask, "l_rho", rho=rho, bc="outside")
+    return op, op.boundary_rhs(v.values)
+
+
 def riesz_decompose(v: GridField, mask: DomainMask, rho: float):
     """Split v = q + Pi on the mask: Pi the Green potential of the
     residual masses inside, q the L_rho-harmonic extension of v's
     boundary values (its least majorant).
 
-    Uses the outside-center Dirichlet convention throughout, which makes
-    the three pieces satisfy the reconstruction identity exactly: the
-    mask's operator is the whole-torus operator restricted to the
-    inside cells, and the sliced-off links are the data coupling.
+    Both solve the mask's bc='outside' system on one factorization.
+    Its data coupling is the whole-torus operator's links to the outside
+    cells, so the density of L_rho v inside is the mask operator applied
+    to v there, minus the data, and q + Pi = v holds exactly.
     """
     grid = v.grid
-    full = assemble(grid, "l_rho", rho=rho)
-    dens = (full.matrix @ v.values.ravel()).reshape(grid.shape)
     inside = mask.inside
-    op = full.restrict(~inside)
-    pi_dof, q_dof = _lrho_solves(op, rho, [dens[inside], op.boundary_rhs(v.values)])
+    op, data = _outside_system(v, mask, rho)
+    dens = op.matrix @ v.values[inside] - data
+    pi_dof, q_dof = _lrho_solves(op, rho, [dens, data])
     pi_vals = op.embed(pi_dof)
     q_vals = op.embed(q_dof)
     q_vals[~inside] = v.values[~inside]
-    nu = GridMeasure(grid, np.where(inside, dens, 0.0) * grid.cell_area)
+    nu = GridMeasure(grid, op.embed(dens) * grid.cell_area)
     q = GridField(grid, q_vals, {"kind": "riesz_majorant", "rho": rho})
     pi = GridField(grid, pi_vals, {"kind": "riesz_potential", "rho": rho,
                                    "measure_tv": nu.total_variation})
@@ -294,8 +302,9 @@ def riesz_decompose(v: GridField, mask: DomainMask, rho: float):
 
 def sweep(v: GridField, mask: Optional[DomainMask], rho: float) -> GridField:
     """Sweeping: replace v inside the mask by its least L_rho-majorant
-    (the Dirichlet solution with v's boundary values), keep v outside.
-    An empty sweep region (mask=None) returns v unchanged.
+    (the Dirichlet solution with v's boundary values, the q of
+    riesz_decompose), keep v outside.  An empty sweep region (mask=None)
+    returns v unchanged.
 
     With the outside-center convention the glued field's residual at
     every cell is the old residual plus a nonnegative boundary
@@ -304,8 +313,10 @@ def sweep(v: GridField, mask: Optional[DomainMask], rho: float) -> GridField:
     """
     if mask is None:
         return v.copy()
-    q = dirichlet_lrho(mask, rho, v, bc="outside")
-    out = np.where(mask.inside, q.values, v.values)
+    op, data = _outside_system(v, mask, rho)
+    q, = _lrho_solves(op, rho, [data])
+    out = v.values.copy()
+    out[mask.inside] = q
     return GridField(v.grid, out, {"kind": "sweep", "rho": rho})
 
 

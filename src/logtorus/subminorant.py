@@ -22,7 +22,7 @@ L_h m < -lam_tol.  The coarsest grid starts cold: its first step is the
 all-active one (v = m), the only step without a factorization.  A
 half grid that diverges, cycles or fails leaves the fine grid the cold
 start.  The result's `iterations` counts the steps of every level.  Each
-level is capped at max_iter steps and remembers the contact sets it has
+level is capped at MAX_STEPS steps and remembers the contact sets it has
 visited: the first step that repeats one stops the level as 'cycling'.
 Unbounded iterates are reported as 'diverged' rather than masked (they
 signal an obstacle with no subminorant at this rho, cross-checked by the
@@ -66,6 +66,8 @@ class SubminorantResult:
 
 # the half grid of a warm start keeps at least this many cells per side
 _MIN_COARSE = 32
+# active-set steps per grid level
+MAX_STEPS = 120
 # relative band of lambda*rho around 1 that existence_test calls borderline
 EXISTENCE_MARGIN = 0.02
 # relative tolerance of the complementarity conditions, per obstacle scale
@@ -83,8 +85,7 @@ def _tolerances(grid: Grid, mv: np.ndarray, rho: float) -> tuple:
     return opscale, OBSTACLE_TOL * opscale * scale, OBSTACLE_TOL * scale
 
 
-def _active_set(grid: Grid, mv: np.ndarray, rho: float, max_iter: int,
-                levels: list) -> tuple:
+def _active_set(grid: Grid, mv: np.ndarray, rho: float, levels: list) -> tuple:
     """Active-set iteration for the obstacle mv on one grid level.
 
     Warm-starts from the contact set of the half grid's solve while the
@@ -111,7 +112,7 @@ def _active_set(grid: Grid, mv: np.ndarray, rho: float, max_iter: int,
     if nx % 2 == 0 and ny % 2 == 0 and min(nx, ny) // 2 >= _MIN_COARSE:
         half = Grid(grid.spec, nx // 2, ny // 2)
         mc = mv.reshape(ny // 2, 2, nx // 2, 2).mean(axis=(1, 3))
-        _, coarse, cstop, _ = _active_set(half, mc, rho, max_iter, levels)
+        _, coarse, cstop, _ = _active_set(half, mc, rho, levels)
         if cstop == "converged":
             active = np.repeat(np.repeat(coarse, 2, axis=0), 2, axis=1) & cold
             rec["start"] = "warm"
@@ -124,7 +125,7 @@ def _active_set(grid: Grid, mv: np.ndarray, rho: float, max_iter: int,
 
     seen = {active.tobytes()}
     v = mv.copy()
-    while rec["steps"] < max_iter:
+    while rec["steps"] < MAX_STEPS:
         rec["steps"] += 1
         if active.all():
             v = mv.copy()
@@ -160,14 +161,13 @@ def _active_set(grid: Grid, mv: np.ndarray, rho: float, max_iter: int,
         active = new_active
     else:
         stop = "max_iter"
-        rec["reason"] = f"no convergence in {max_iter} active-set steps"
+        rec["reason"] = f"no convergence in {MAX_STEPS} active-set steps"
     rec["stop"] = stop
     levels.append(rec)
     return v, active, stop, A
 
 
-def maximal_subminorant(m: GridField, rho: float,
-                        max_iter: int = 120) -> SubminorantResult:
+def maximal_subminorant(m: GridField, rho: float) -> SubminorantResult:
     """Maximal subminorant of the obstacle m on the whole torus.
 
     Returns status 'identically_zero' when the zero field is maximal,
@@ -183,7 +183,7 @@ def maximal_subminorant(m: GridField, rho: float,
     without a half grid or a factorization.  A free cell joins the
     contact set at any excess v > m, so a converged minorant never
     exceeds m, from a cold or a warm start.  Each level is capped at
-    max_iter steps and stops at the first step that repeats one of its
+    MAX_STEPS steps and stops at the first step that repeats one of its
     contact sets; when the finest grid cycles, passes the cap or fails a
     solve, IterationLimit is raised with the level's reason (a half grid
     that fails only costs the fine grid its warm start).  The
@@ -199,7 +199,7 @@ def maximal_subminorant(m: GridField, rho: float,
     grid = m.grid
     mv = np.asarray(m.values, dtype=float)
     levels: list = []
-    v, _, stop, A = _active_set(grid, mv, rho, max_iter, levels)
+    v, _, stop, A = _active_set(grid, mv, rho, levels)
     if stop not in ("converged", "diverged"):
         raise IterationLimit(levels[-1]["reason"])
     it = sum(rec["steps"] for rec in levels)

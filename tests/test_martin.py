@@ -266,7 +266,7 @@ def quad_distance(win, col1):
     clamp[:, [0, col1]] = inside[:, [0, col1]]
     data = np.zeros(inside.shape)
     data[:, col1] = 1.0
-    op = assemble(quad, "laplacian", bc="neumann").restrict(clamp)
+    op = assemble(quad, bc="neumann").restrict(clamp)
     u = op.embed(LinearSystem(op).solve(op.boundary_rhs(data)))
     u[clamp & (data > 0)] = 1.0
     hx, hy = win.hx, win.hy

@@ -14,12 +14,13 @@ from scipy import sparse
 from scipy.sparse.linalg import splu
 
 from logtorus import operators
-from logtorus.errors import SolverFailure, TargetEmpty
+from logtorus.errors import ConfigError, SolverFailure, TargetEmpty
 from logtorus.operators import (
     LinearSystem, LogWindow, PeriodChain, assemble, harmonic_measure,
-    harmonic_measure_field, lift_window, region_of, solve_dirichlet,
+    harmonic_measure_field, lift_window, region_of,
 )
 from logtorus.pencil import PencilSystem
+from logtorus.subfunc import dirichlet_lrho
 from logtorus.torus import (Disc, Grid, Strip, TorusSpec, Tube, build_domain,
                             mask_from_inside)
 
@@ -29,7 +30,7 @@ SPEC = TorusSpec(LOG2)
 
 def test_periodic_laplacian_row_sums_vanish():
     grid = Grid(SPEC, 16, 16)
-    op = assemble(grid, "laplacian")
+    op = assemble(grid)
     sums = np.asarray(op.matrix.sum(axis=1)).ravel()
     assert np.max(np.abs(sums)) < 1e-9
 
@@ -71,7 +72,7 @@ def _domains(n):
 @pytest.mark.parametrize("where", ["grid", "mask", "window"])
 def test_matrix_identity_l_equals_k_plus_2rho_b_plus_rho2(where, bc):
     domain = _domains(24)[where]
-    K = assemble(domain, "laplacian", bc=bc).matrix
+    K = assemble(domain, bc=bc).matrix              # l_rho at rho = 0
     B = assemble(domain, "d_dx", bc=bc).matrix
     for rho in (0.9, -1.3):
         L = assemble(domain, "l_rho", rho=rho, bc=bc).matrix
@@ -81,8 +82,11 @@ def test_matrix_identity_l_equals_k_plus_2rho_b_plus_rho2(where, bc):
         for M in (B, L):
             assert np.array_equal(M.indices, K.indices)
             assert np.array_equal(M.indptr, K.indptr)
-    L0 = assemble(domain, "l_rho", rho=0.0, bc=bc).matrix
-    assert (L0 - K).count_nonzero() == 0
+
+
+def test_assemble_builds_only_l_rho_and_d_dx():
+    with pytest.raises(ConfigError, match="kind must be one of"):
+        assemble(Grid(SPEC, 8, 8), "laplacian")
 
 
 def _reference_parts(domain, bc):
@@ -126,7 +130,7 @@ def _reference_parts(domain, bc):
 def test_assembly_matches_per_cell_reference(where, bc):
     domain = _domains(12)[where]
     want = _reference_parts(domain, bc)
-    for kind, mat, data in (("laplacian", want[0], want[2]),
+    for kind, mat, data in (("l_rho", want[0], want[2]),
                             ("d_dx", want[1], want[3])):
         op = assemble(domain, kind, bc=bc)
         coup = np.zeros_like(data)
@@ -148,7 +152,7 @@ def test_adjoint_identity_on_full_torus():
 def test_dirichlet_constant_data_gives_constant():
     mask = build_domain(SPEC, 32, 32, Disc(0.35, 0.2, 0.6), classify=False)
     data = np.ones(mask.grid.shape)
-    u = solve_dirichlet(mask, data)
+    u = dirichlet_lrho(mask, 0.0, data)
     assert np.allclose(u.values[mask.inside], 1.0, atol=1e-9)
 
 
@@ -164,7 +168,7 @@ def test_dirichlet_strip_ramp_face_convention_exact():
     # strip 0 < y < pi, data 0 on y=0 and 1 on y=pi: solution y/pi
     mask = build_domain(SPEC, 16, 64, Strip(0.0, np.pi), classify=False)
     X, Y = mask.grid.meshgrid()
-    u = solve_dirichlet(mask, _ramp_data(mask), bc="face")
+    u = dirichlet_lrho(mask, 0.0, _ramp_data(mask))
     expect = np.where(mask.inside, Y / np.pi, 0.0)
     assert np.max(np.abs(u.values - expect)) < 1e-9
 
@@ -172,9 +176,10 @@ def test_dirichlet_strip_ramp_face_convention_exact():
 def test_dirichlet_strip_ramp_outside_convention_first_order():
     mask = build_domain(SPEC, 16, 64, Strip(0.0, np.pi), classify=False)
     X, Y = mask.grid.meshgrid()
-    u = solve_dirichlet(mask, _ramp_data(mask), bc="outside")
+    op = assemble(mask, bc="outside")
+    u = op.embed(LinearSystem(op).solve(op.boundary_rhs(_ramp_data(mask))))
     expect = np.where(mask.inside, Y / np.pi, 0.0)
-    err = np.max(np.abs(u.values - expect))
+    err = np.max(np.abs(u - expect))
     assert 1e-4 < err < 2.0 * mask.grid.hy  # wall sits half a cell out
 
 
@@ -186,7 +191,7 @@ def test_dirichlet_disc_cosine_profile():
     mask = build_domain(SPEC, 128, 128, Disc(cx, cy, r0), classify=False)
     X, Y = mask.grid.meshgrid()
     theta = np.arctan2(Y - cy, X - cx)
-    u = solve_dirichlet(mask, np.cos(theta))
+    u = dirichlet_lrho(mask, 0.0, np.cos(theta))
     rr = np.hypot(X - cx, Y - cy)
     expect = (rr / r0) * np.cos(theta)
     err = np.max(np.abs(u.values - expect)[mask.inside])
@@ -203,7 +208,7 @@ def test_discrete_maximum_principle_random_masks():
             continue
         mask = mask_from_inside(grid, inside, classify=False)
         data = rng.random(grid.shape)
-        u = solve_dirichlet(mask, data)
+        u = dirichlet_lrho(mask, 0.0, data)
         lo, hi = data.min(), data.max()
         vals = u.values[mask.inside]
         assert vals.min() >= lo - 1e-9 and vals.max() <= hi + 1e-9
@@ -261,16 +266,15 @@ def _clamp_cases():
     grid = Grid(SPEC, 24, 32)
     mask = build_domain(SPEC, 24, 32, Disc(0.35, 0.2, 1.0), classify=False)
     win = lift_window(build_domain(SPEC, 24, 24, Strip(-1.0, 1.2)), 0, 0, 3)
-    return [(grid, "l_rho", "face"), (mask, "l_rho", "face"),
-            (mask, "l_rho", "outside"), (win, "laplacian", "face"),
-            (win, "laplacian", "neumann"), (win, "l_rho", "face")]
+    return [(grid, 0.9, "face"), (mask, 0.9, "face"), (mask, 0.9, "outside"),
+            (win, 0.0, "face"), (win, 0.0, "neumann"), (win, 0.9, "face")]
 
 
 @pytest.mark.parametrize("case", range(6))
 def test_clamped_rows_reproduce_unclamped_rows(case):
-    domain, kind, bc = _clamp_cases()[case]
+    domain, rho, bc = _clamp_cases()[case]
     rng = np.random.default_rng(case)
-    full = assemble(domain, kind, rho=0.9, bc=bc)
+    full = assemble(domain, rho=rho, bc=bc)
     shape = full.free.shape
     clamp = rng.random(shape) < 0.3
     op = full.restrict(clamp)
@@ -306,7 +310,7 @@ def test_solve_checks_the_residual_of_every_column(monkeypatch):
     # its own relative residual is 1e-3, that of all three columns in
     # the Frobenius norm below 1e-12
     mask = build_domain(SPEC, 32, 32, Strip(-1.0, 1.0))
-    system = LinearSystem(assemble(mask, "laplacian"))
+    system = LinearSystem(assemble(mask))
     rhs = np.ones((system.op.ndof, 3))
     rhs[:, 1] *= 1e-9
     system.solve(rhs)
@@ -405,7 +409,7 @@ def test_linear_system_pivots_away_from_a_tiny_diagonal():
     # well conditioned and structurally symmetric, but a diagonal pivot
     # would grow the factors by 1e14; the threshold of 1.0 swaps rows
     grid = Grid(SPEC, 16, 16)
-    op = assemble(grid, "laplacian")
+    op = assemble(grid)
     links = sparse.triu(op.matrix, 1) + sparse.tril(op.matrix, -1)
     links = links / abs(links).sum(axis=1).max()
     pairs = sparse.block_diag([np.array([[1e-14, 1.0], [1.0, 1e-14]])] * (op.ndof // 2))

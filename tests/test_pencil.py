@@ -355,6 +355,22 @@ def test_unresolved_tube_stops_within_bounded_factorizations(monkeypatch, n):
     assert "grid_limited" not in r.meta
 
 
+@pytest.mark.parametrize("k, eps, n, stop, note", [
+    (1, 0.69 * np.pi * LOG2 / np.sqrt(LOG2 ** 2 + 4 * np.pi ** 2), 48, "sign",
+     "Perron vector changes sign at rho="),
+    (2, 0.12, 32, "cap", "no Perron root below rho*hx="),
+], ids=["sign", "cap"])
+def test_unresolved_tube_returns_none_with_its_stop(monkeypatch, k, eps, n, stop, note):
+    # under-resolved tubes end at the cap with one of two notes; either
+    # way the value is None, the note says why and the LUs stay bounded
+    mask = build_domain(SPEC, n, n, Tube(k, 0, eps))
+    lus = count_factorizations(monkeypatch)
+    r = rho_min(mask, full_result=True)
+    assert r.value is None and r.eigenfunction is None
+    assert r.meta["stop"] == stop and r.meta["note"].startswith(note)
+    assert len(lus) == r.meta["factorizations"] <= pencil.MAX_FACTORS
+
+
 def test_unresolved_tube_stops_below_grid_limit():
     mask = build_domain(SPEC, 64, 64, Tube(2, 0, 0.12))
     assert mask.spiral_of(0).connected

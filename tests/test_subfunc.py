@@ -5,11 +5,11 @@ trigonometric 1-D specialization."""
 import numpy as np
 import pytest
 
-from logtorus import operators
+from logtorus import operators, subfunc
 from logtorus.errors import (ArcTooWide, EpsTooSmall, RhoAboveCritical,
                              RhoInSpectrum, SolverFailure)
 from logtorus.fundsol import GridMeasure, discrete_kernel, potential
-from logtorus.operators import LinearSystem
+from logtorus.operators import LinearSystem, assemble
 from logtorus.oracles import strip_green_series, strip_majorant_profile
 from logtorus.pencil import rho_min
 from logtorus.subfunc import (
@@ -17,7 +17,8 @@ from logtorus.subfunc import (
     fundamental_relation_residual, green_lrho, is_subfunction, lift_check,
     mollify, riesz_decompose, sweep, tc_majorant,
 )
-from logtorus.torus import Disc, Grid, GridField, Strip, TorusSpec, build_domain
+from logtorus.torus import (Disc, Grid, GridField, Strip, TorusSpec, Tube,
+                            build_domain)
 
 LOG2 = float(np.log(2.0))
 SPEC = TorusSpec(LOG2)
@@ -201,7 +202,7 @@ def test_dirichlet_strip_constant_data_cosine_profile():
     errs = []
     for n in (48, 96):
         mask = build_domain(SPEC, n, n, Strip(alpha, beta))
-        q = dirichlet_lrho(mask, rho, np.ones(mask.grid.shape), bc="face")
+        q = dirichlet_lrho(mask, rho, np.ones(mask.grid.shape))
         X, Y = mask.grid.meshgrid()
         expect = np.cos(rho * Y) / np.cos(rho * (beta - alpha) / 2)
         errs.append(np.max(np.abs(q.values - expect)[mask.inside]))
@@ -273,11 +274,19 @@ def test_riesz_of_harmonic_field_has_no_potential_part():
     assert np.max(np.abs(q.values - w.values)[mask.inside]) < 1e-9
 
 
+def outside_green_column(mask, rho, z):
+    """The Green column of the cell of z under bc='outside', the rule of
+    riesz_decompose."""
+    op = assemble(mask, rho=rho, bc="outside")
+    rhs = np.zeros(op.ndof)
+    rhs[op.dof_index[mask.grid.cell_of(*z)]] = 1.0 / mask.grid.cell_area
+    return GridField(mask.grid, op.embed(LinearSystem(op).solve(rhs)))
+
+
 def test_riesz_of_green_column_is_pure_potential():
     rho = 0.5
     mask = build_domain(SPEC, 48, 48, Strip(-np.pi / 2, np.pi / 2))
-    g = green_lrho(mask, rho, [(0.35, 0.3)], bc="outside")
-    v = g.columns[0]
+    v = outside_green_column(mask, rho, (0.35, 0.3))
     q, pi = riesz_decompose(v, mask, rho)
     assert np.max(np.abs(q.values[mask.inside])) < 1e-9
     assert np.max(np.abs(pi.values - v.values)[mask.inside]) < 1e-9
@@ -341,6 +350,41 @@ def test_sweep_on_strip_matches_tc_majorant_profile():
                                     0.3 * np.cos(3.0 * yb), rho, ya, yb)
     err = np.max(np.abs(s.values - expect)[mask.inside])
     assert err < 3.0 * grid.hy ** 2 * 10   # O(h^2) with a modest constant
+
+
+RIESZ_MASKS = {
+    "strip": Strip(-np.pi / 2, np.pi / 2),
+    "strip_minus_disc": Strip(-1.0, 1.0) - Disc(0.3, 0.0, 0.4),
+    "tube": Tube(3, 0, 0.3),
+}
+
+
+@pytest.mark.parametrize("name", RIESZ_MASKS)
+def test_sweep_is_the_riesz_majorant(name):
+    rho = 0.5
+    mask = build_domain(SPEC, 48, 48, RIESZ_MASKS[name], classify=False)
+    v = bump_subfunction(GRID, rho)
+    np.testing.assert_array_equal(sweep(v, mask, rho).values,
+                                  riesz_decompose(v, mask, rho)[0].values)
+
+
+def test_riesz_and_sweep_assemble_over_the_mask(monkeypatch):
+    # both take the mask's outside-rule operator, never the whole torus
+    rho = 0.5
+    mask = build_domain(SPEC, 48, 48, Strip(-np.pi / 2, np.pi / 2))
+    v = bump_subfunction(GRID, rho)
+    domains = []
+    real = subfunc.assemble
+
+    def recorded(domain, *args, **kwargs):
+        domains.append(domain)
+        return real(domain, *args, **kwargs)
+
+    monkeypatch.setattr(subfunc, "assemble", recorded)
+    riesz_decompose(v, mask, rho)
+    sweep(v, mask, rho)
+    assert len(domains) == 2
+    assert not any(isinstance(d, Grid) for d in domains)
 
 
 # ---------------------------------------------------------------- 1-D theory

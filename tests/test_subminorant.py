@@ -7,8 +7,8 @@ from scipy.sparse.linalg import spsolve
 from logtorus import operators, subminorant
 from logtorus.errors import IterationLimit
 from logtorus.fundsol import GridMeasure, discrete_kernel, potential
-from logtorus.operators import assemble
-from logtorus.subfunc import green_lrho, is_subfunction
+from logtorus.operators import LinearSystem, assemble
+from logtorus.subfunc import is_subfunction
 from logtorus.subminorant import (
     existence_test, integral_condition, lambda_value, maximal_subminorant,
     minimality_test,
@@ -214,8 +214,12 @@ def test_green_like_field_is_undetermined_or_minimal_with_evidence():
     # torus minus the source; verdict must carry usable evidence
     rho = 3.0
     mask = build_domain(SPEC, 64, 64, Strip(-np.pi / 2, np.pi / 2))
-    g = green_lrho(mask, 0.5, [(0.35, 0.0)], bc="outside")
-    v = GridField(GRID, g.columns[0].values)   # <= 0, masses on boundary+source
+    # the Green column of the source cell under bc='outside': <= 0, with
+    # masses on the boundary and at the source
+    op = assemble(mask, rho=0.5, bc="outside")
+    rhs = np.zeros(op.ndof)
+    rhs[op.dof_index[GRID.cell_of(0.35, 0.0)]] = 1.0 / GRID.cell_area
+    v = GridField(GRID, op.embed(LinearSystem(op).solve(rhs)))
     rep = minimality_test(v, rho)
     assert rep.verdict in ("minimal", "undetermined")
     if rep.verdict == "minimal":
@@ -355,16 +359,14 @@ def test_factorizations_are_iterations_minus_one(n, monkeypatch):
 
 
 def test_levels_and_stop_are_recorded():
-    max_iter = 120
-    res = maximal_subminorant(strip_bump(Grid(SPEC, 128, 128)), rho=3.0,
-                              max_iter=max_iter)
+    res = maximal_subminorant(strip_bump(Grid(SPEC, 128, 128)), rho=3.0)
     levels = res.meta["levels"]
     assert res.meta["stop"] == "converged"
     # 128 -> 64 -> 32: the half of 32 would have fewer than 32 cells
     assert [lv["grid"] for lv in levels] == [(32, 32), (64, 64), (128, 128)]
     assert [lv["start"] for lv in levels] == ["cold", "warm", "warm"]
     assert all(lv["stop"] == "converged" for lv in levels)
-    assert all(1 <= lv["steps"] <= max_iter for lv in levels)
+    assert all(1 <= lv["steps"] <= subminorant.MAX_STEPS for lv in levels)
     assert sum(lv["steps"] for lv in levels) == res.iterations
     assert sum(lv["factorizations"] for lv in levels) == res.iterations - 1
     # the warm start leaves a mesh-independent number of fine steps
@@ -375,6 +377,12 @@ def test_levels_and_stop_are_recorded():
     assert res.iterations == 1 and res.meta["stop"] == "converged"
     assert res.meta["levels"] == [{"grid": (64, 64), "start": "cold", "steps": 1,
                                    "factorizations": 0, "stop": "converged"}]
+
+
+def test_step_cap_raises_iteration_limit(monkeypatch):
+    monkeypatch.setattr(subminorant, "MAX_STEPS", 2)
+    with pytest.raises(IterationLimit, match="no convergence in 2 active-set steps"):
+        maximal_subminorant(strip_bump(GRID), rho=3.0)
 
 
 def test_sign_changing_obstacle_raises_iteration_limit(monkeypatch):
