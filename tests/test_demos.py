@@ -1,5 +1,5 @@
-"""Smoke test: the spiral-class, kernel and growth demos run to completion
-as standalone scripts."""
+"""Smoke test: the spiral-class, kernel, growth and Green-function demos
+run to completion as standalone scripts."""
 
 import os
 import subprocess
@@ -37,3 +37,9 @@ def test_fundamental_solutions_demo_runs():
 ], ids=["03", "07"])
 def test_growth_demo_runs(demo, expect):
     assert expect in run_demo(demo)
+
+
+def test_green_demo_matches_shift_series():
+    out = run_demo("05_green_dirichlet_riesz_sweep.py")
+    line = next(s for s in out.splitlines() if "vs sector shift series" in s)
+    assert float(line.rsplit(" ", 1)[1]) < 2e-3
